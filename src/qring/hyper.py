@@ -1,6 +1,6 @@
 """Terminating hypergeometric machinery.
 
-Gamma via a Lanczos approximation with reflection, generalized Laguerre
+Gamma from the standard library with its poles rejected, generalized Laguerre
 polynomials by three-term recurrence, the terminating 1F1 with negative
 integer first parameter, a terminating 3F2 at unit argument, and the
 closed-form wavefunction normalization constant.
@@ -14,20 +14,6 @@ import math
 
 from .errors import EvaluationError, ParameterError, PoleError
 
-# Lanczos, g = 7, 9 coefficients; ~1e-13 relative away from poles for |x| <= 30
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
     """Gamma(x) for real x, poles at non-positive integers rejected."""
@@ -35,15 +21,7 @@ def gamma(x: float) -> float:
         raise ParameterError(f"gamma argument must be finite, got {x}")
     if x <= 0.0 and x == round(x):
         raise EvaluationError(f"gamma pole at x = {x}", term_trace=[("x", x)])
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def hyp1f1_poly(n_r: int, b: float, x: float) -> float:

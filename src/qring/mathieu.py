@@ -4,9 +4,13 @@ The angular equation Phi'' + (c - 2 q cos 2z) Phi = 0 with pi-periodic
 solutions leads, in the Fourier basis, to symmetric tridiagonal eigenvalue
 problems. Cosine-elliptic solutions of even order couple cos(2kz) modes,
 sine-elliptic ones couple sin(2kz); a real Floquet exponent nu couples the
-shifted lattice exp(i(nu+2k)z), k in Z. All three are solved here by
-truncated tridiagonal diagonalization with a truncation-doubling loop and
-one long-double Rayleigh-quotient refinement step.
+shifted lattice exp(i(nu+2k)z), k in Z. All three are solved by one routine:
+truncated tridiagonal diagonalization with one long-double Rayleigh-quotient
+refinement step, the truncation K doubling from the first power of two
+>= 32 that exceeds the order m (nu/2 on the Floquet lattice). It stops on
+a single rule: successive values differ by < 1e-12 and the outermost
+Fourier coefficient (both ends of the Floquet lattice) is <= 1e-14 of the
+largest.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from .errors import ConvergenceError, ParameterError
 _TRUNC_START = 32
 _TRUNC_CAP = 4096
 _TRUNC_TOL = 1e-12  # absolute change between successive truncations
+_TAIL_TOL = 1e-14  # outermost coefficient relative to the largest
 _Q_BOUND = 1e4  # truncation-validity bound for |q|
 
 
@@ -62,24 +67,25 @@ class FourierCoeffs:
     truncation: int
 
 
-def _ce_tridiag(K: int, q: float):
-    d = (2.0 * np.arange(K + 1)) ** 2
-    e = np.full(K, q)
-    e[0] = math.sqrt(2.0) * q  # couples the constant mode to cos 2z
-    return d, e
+def _tridiag(branch: Optional[Branch], order, K: int, q: float):
+    """Truncated (d, e) and the sorted index of the wanted eigenvalue.
 
-
-def _se_tridiag(K: int, q: float):
-    d = (2.0 * np.arange(1, K + 1)) ** 2
-    e = np.full(K - 1, q)
-    return d, e
-
-
-def _frac_tridiag(nu: float, K: int, q: float):
+    CE couples cos(2kz), k = 0..K; SE couples sin(2kz), k = 1..K; branch
+    None is the Floquet lattice exp(i(nu+2k)z), k = -K..K, with order nu.
+    """
+    if branch is Branch.CE:
+        d = (2.0 * np.arange(K + 1)) ** 2
+        e = np.full(K, q)
+        e[0] = math.sqrt(2.0) * q  # couples the constant mode to cos 2z
+        return d, e, order
+    if branch is Branch.SE:
+        return (2.0 * np.arange(1, K + 1)) ** 2, np.full(K - 1, q), order - 1
     k = np.arange(-K, K + 1)
-    d = (nu + 2.0 * k) ** 2
-    e = np.full(2 * K, q)
-    return d, e, k
+    d = (order + 2.0 * k) ** 2
+    # sorted position of the nu^2-continued eigenvalue: count lattice points
+    # (nu+2k)^2 strictly below nu^2. Strict inequality resolves the odd-integer
+    # tie to the lower member of the near-degenerate pair.
+    return d, np.full(2 * K, q), int(np.sum((d < order * order) & (k != 0)))
 
 
 def _refined_eig(d, e, idx):
@@ -108,14 +114,22 @@ def _check_q(q: float):
         raise ParameterError(f"|q| = {abs(q)} exceeds truncation-validity bound {_Q_BOUND}")
 
 
-def _converge(solve):
-    """Run solve(K) with K doubling until successive values differ < 1e-12."""
-    prev = None
-    K = _TRUNC_START
+def _solve(branch: Optional[Branch], order, q: float):
+    """(value, unit eigenvector, K) of the wanted eigenvalue, K doubling.
+
+    K starts at the first power of two >= 32 above the order m (nu/2 on the
+    Floquet lattice) and doubles until successive values differ by < 1e-12
+    and the outermost coefficient is <= 1e-14 of the largest.
+    """
+    m = order if branch is not None else order / 2.0
+    K = max(_TRUNC_START, 1 << int(m).bit_length())  # smallest power of two > m
+    value = prev = None
     while K <= _TRUNC_CAP:
-        value, vec, size = solve(K)
-        if prev is not None and abs(value - prev) < _TRUNC_TOL:
-            return value, vec, size
+        value, vec = _refined_eig(*_tridiag(branch, order, K, q))
+        tail = abs(vec[-1]) if branch is not None else max(abs(vec[0]), abs(vec[-1]))
+        if (prev is not None and abs(value - prev) < _TRUNC_TOL
+                and tail <= _TAIL_TOL * np.max(np.abs(vec))):
+            return value, vec, K
         prev = value
         K *= 2
     raise ConvergenceError(
@@ -136,29 +150,7 @@ def char_value(m: int, branch: Branch, q: float) -> MathieuChar:
     _check_q(q)
     if q == 0.0:
         return MathieuChar(2.0 * m, 0.0, branch, float((2 * m) ** 2))
-
-    if branch is Branch.CE:
-        def solve(K):
-            d, e = _ce_tridiag(K, q)
-            value, vec = _refined_eig(d, e, m)
-            return value, vec, K
-    else:
-        def solve(K):
-            d, e = _se_tridiag(K, q)
-            value, vec = _refined_eig(d, e, m - 1)
-            return value, vec, K
-
-    value, _, _ = _converge(solve)
-    return MathieuChar(2.0 * m, q, branch, value)
-
-
-def _frac_index(nu: float, K: int) -> int:
-    # sorted position of the nu^2-continued eigenvalue: count lattice points
-    # (nu+2j)^2 strictly below nu^2. Strict inequality resolves the odd-integer
-    # tie to the lower member of the near-degenerate pair.
-    j = np.arange(-K, K + 1)
-    d = (nu + 2.0 * j) ** 2
-    return int(np.sum((d < nu * nu) & (j != 0)))
+    return MathieuChar(2.0 * m, q, branch, _solve(branch, m, q)[0])
 
 
 def char_value_fractional(nu: float, q: float) -> MathieuChar:
@@ -176,14 +168,7 @@ def char_value_fractional(nu: float, q: float) -> MathieuChar:
     _check_q(q)
     if q == 0.0:
         return MathieuChar(nu, 0.0, None, nu * nu)
-
-    def solve(K):
-        d, e, _ = _frac_tridiag(nu, K, q)
-        value, vec = _refined_eig(d, e, _frac_index(nu, K))
-        return value, vec, K
-
-    value, _, _ = _converge(solve)
-    return MathieuChar(nu, q, None, value)
+    return MathieuChar(nu, q, None, _solve(None, nu, q)[0])
 
 
 # --- small-q polynomial form, valid for m > 3 ---
@@ -274,8 +259,9 @@ def series_p8_estimate(m: int, p: float) -> float:
 def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
     """Fourier coefficients of the order-2m angular eigenfunction.
 
-    Sign fixed so the largest-magnitude coefficient is positive; trailing
-    coefficients are below 1e-14 of the maximum at the returned truncation.
+    Sign fixed so the largest-magnitude coefficient is positive; at the
+    returned truncation the outermost component of the unit eigenvector is
+    <= 1e-14 of its largest.
     """
     if m < 0 or int(m) != m:
         raise ParameterError(f"m must be a non-negative integer, got {m}")
@@ -293,37 +279,14 @@ def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
             coeffs[m - 1] = 1.0
         return FourierCoeffs(branch, m, 0.0, coeffs, len(coeffs))
 
-    if branch is Branch.CE:
-        def solve(K):
-            d, e = _ce_tridiag(K, q)
-            value, vec = _refined_eig(d, e, m)
-            return value, vec, K
-    else:
-        def solve(K):
-            d, e = _se_tridiag(K, q)
-            value, vec = _refined_eig(d, e, m - 1)
-            return value, vec, K
-
-    _, vec, K = _converge(solve)
+    _, vec, K = _solve(branch, m, q)
     # eigenvector is unit-norm; the constant CE mode carries sqrt(2) in the
     # matrix, so dividing it back restores 2*A0^2 + sum A^2 = 1
     coeffs = vec.copy()
     if branch is Branch.CE:
         coeffs[0] /= math.sqrt(2.0)
-    peak = np.argmax(np.abs(coeffs))
-    if coeffs[peak] < 0:
+    if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
-    if abs(coeffs[-1]) > 1e-14 * abs(coeffs[peak]):
-        d_, e_ = (_ce_tridiag if branch is Branch.CE else _se_tridiag)(2 * K, q)
-        idx = m if branch is Branch.CE else m - 1
-        _, vec = _refined_eig(d_, e_, idx)
-        coeffs = vec.copy()
-        if branch is Branch.CE:
-            coeffs[0] /= math.sqrt(2.0)
-        peak = np.argmax(np.abs(coeffs))
-        if coeffs[peak] < 0:
-            coeffs = -coeffs
-        K = 2 * K
     return FourierCoeffs(branch, m, q, coeffs, K)
 
 

@@ -9,8 +9,6 @@ algebraic routes to the energy are evaluated and required to agree.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -244,8 +242,8 @@ def _sort_key(row: SpectrumRow):
 def sweep(config: SweepConfig) -> list:
     """Evaluate the grid; per-row failures are recorded, not raised.
 
-    Ordering is deterministic (material, parity, m, n_r, delta, D) no matter
-    how many worker threads QRING_THREADS allows.
+    Rows come back in the deterministic order (material, parity, m, n_r,
+    delta, D).
     """
     tasks = [
         (mat, state, d)
@@ -261,11 +259,6 @@ def sweep(config: SweepConfig) -> list:
         except QringError as exc:
             return SpectrumRow(state=state, material=mat.name, D=d, error=str(exc))
 
-    threads = int(os.environ.get("QRING_THREADS", "1") or "1")
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
+    rows = [run(t) for t in tasks]
     rows.sort(key=_sort_key)
     return rows

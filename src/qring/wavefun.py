@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 from . import mathieu, spectrum
 from .errors import IntegrationError, ParameterError
-from .hyper import gamma, hyp1f1_poly
+from .hyper import hyp1f1_poly
 from .params import SystemParams
 from .spectrum import QuantumState
 
@@ -41,10 +41,11 @@ class WaveSpec:
 
 
 def _closed_form_norm(n_r: int, alpha: float, a: float) -> float:
-    # int_0^inf rho^(beta-1) e^-rho 1F1(-n,beta,rho)^2 drho = n! G(beta)^2 / G(n+beta)
+    # int_0^inf rho^(beta-1) e^-rho 1F1(-n,beta,rho)^2 drho = n! G(beta)^2 / G(n+beta),
+    # taken in logs so large m (large beta) does not overflow
     beta = 2.0 * alpha + 0.5
-    radial = math.factorial(n_r) * gamma(beta) ** 2 / gamma(n_r + beta)
-    return math.sqrt(2.0 / (math.pi * a * radial))
+    log_radial = math.lgamma(n_r + 1) + 2.0 * math.lgamma(beta) - math.lgamma(n_r + beta)
+    return math.sqrt(2.0 / (math.pi * a)) * math.exp(-0.5 * log_radial)
 
 
 def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:

@@ -75,6 +75,21 @@ def test_wavefunction_schema():
     assert all(line.split(",")[2] == "2" for line in lines[1:])
 
 
+def test_energies_above_order_32():
+    code, out, err = _run(["energies", "--m", "33,40,100", "--parity", "ce,se",
+                           "--D", "10"])
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 6  # header + 3 orders x 2 parities
+    assert err == ""
+
+
+def test_wavefunction_large_m():
+    code, out, err = _run(["wavefunction", "--m", "100", "--nr", "2", "--D", "10"])
+    assert code == 0
+    assert err == ""
+    assert all(line.split(",")[2] == "2" for line in out.splitlines()[1:])
+
+
 def test_byte_identical_reruns():
     argv = ["corrections", "--material", "GaAs,CdSe", "--m", "0,1,2",
             "--parity", "ce,se", "--D-range", "0:10:2.5"]

@@ -1,0 +1,28 @@
+"""Golden figure data: every figures/figN.cfg, run through the subcommand
+that figures/Makefile names for it, reproduces figures/figN.csv byte for byte."""
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from qring.cli import run
+
+FIGURES = Path(__file__).resolve().parent.parent / "figures"
+RECIPES = dict(re.findall(r"^(fig\d+)\.csv: \1\.cfg\n\tqring (\S+) --config",
+                          (FIGURES / "Makefile").read_text(), re.M))
+
+
+def test_every_config_has_a_recipe():
+    assert sorted(RECIPES) == sorted(p.stem for p in FIGURES.glob("fig*.cfg"))
+    assert len(RECIPES) == 8
+
+
+@pytest.mark.parametrize("fig", sorted(RECIPES))
+def test_figure_regenerates(fig):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([RECIPES[fig], "--config", str(FIGURES / f"{fig}.cfg")])
+    assert code == 0 and err.getvalue() == ""
+    assert out.getvalue().encode() == (FIGURES / f"{fig}.csv").read_bytes()

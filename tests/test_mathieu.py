@@ -38,7 +38,8 @@ def test_continuity_at_small_q():
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 5.0, 25.0])
 def test_against_scipy(q):
-    for m in range(6):
+    # 33 and up start the truncation above 32, past the order itself
+    for m in (*range(6), 33, 40, 100):
         a = char_value(m, Branch.CE, q).value
         assert a == pytest.approx(float(special.mathieu_a(2 * m, q)), abs=1e-7)
         if m:
@@ -106,6 +107,13 @@ def test_fractional_reduces_to_nu_squared_at_q_zero():
     for nu in (0.5, 1.0, 2.5, 3.0, 6.2):
         assert char_value_fractional(nu, 0.0).value == pytest.approx(
             nu * nu, abs=1e-12)
+
+
+def test_fractional_large_order_matches_second_order():
+    # far from any resonance lambda_nu = nu^2 + q^2 / (2 (nu^2 - 1)) + O(q^4 / nu^6)
+    nu, q = 80.6, 0.2
+    assert char_value_fractional(nu, q).value == pytest.approx(
+        nu * nu + q * q / (2.0 * (nu * nu - 1.0)), abs=1e-9)
 
 
 def test_series_estimate_positive_and_scales():

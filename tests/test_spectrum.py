@@ -149,14 +149,16 @@ def test_sweep_records_row_errors(monkeypatch):
     assert all(math.isfinite(r.E) for r in ok)
 
 
-def test_sweep_thread_determinism(monkeypatch):
-    states = tuple(QuantumState(n, m, Branch.CE) for n in range(2) for m in range(3))
-    cfg = SweepConfig((GAAS,), states, (0.0, 2.0, 4.0))
-    serial = sweep(cfg)
-    monkeypatch.setenv("QRING_THREADS", "4")
-    threaded = sweep(cfg)
-    assert [r.E for r in serial] == [r.E for r in threaded]
-    assert [r.state for r in serial] == [r.state for r in threaded]
+def test_sweep_matches_qr_energy():
+    mats = (get_material("CdSe"), GAAS)
+    states = (QuantumState(1, 2, Branch.SE, 0.25), QuantumState(0, 1, Branch.CE, 0.25),
+              QuantumState(0, 0, Branch.CE, 0.25), QuantumState(1, 1, Branch.CE, 0.25))
+    d_values = (4.0, 0.0, 2.0)
+    rows = sweep(SweepConfig(mats, states, d_values))
+    tasks = sorted(((mat, state, d) for mat in mats for state in states for d in d_values),
+                   key=lambda t: (t[0].name, t[1].parity.value, t[1].m, t[1].n_r,
+                                  t[1].delta, t[2]))
+    assert rows == [qr_energy(state, mat, d) for mat, state, d in tasks]
 
 
 def test_sweep_rejects_bad_grid():

@@ -60,6 +60,14 @@ def test_quadrature_confirms_closed_norm():
                 1.0, abs=1e-11)
 
 
+def test_large_m_closed_norm_and_nodes():
+    # beta ~ 100 here: Gamma(beta)^2 alone overflows a double
+    for n_r in (0, 2):
+        spec = _spec(n_r=n_r, m=100, D=10.0)
+        assert spec.N == pytest.approx(normalize_numeric(spec), rel=1e-9)
+        assert count_radial_nodes(spec) == n_r
+
+
 def test_renormalized_reproduces_closed_norm():
     spec = _spec()
     again = renormalized(spec)
