@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from . import oracle, spectrum, wavefun
 from .errors import DomainError, NumericsError, QringError, UsageError
 from .mathieu import Branch, char_value, char_value_series, series_p8_estimate
 from .params import builtin_materials, get_material, parse_config
-from .spectrum import QuantumState, SweepConfig, ab_correction, qr_energy, sweep, transition
+from .spectrum import QuantumState, SweepConfig, qr_energy, sweep, transition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,18 +282,15 @@ def _cmd_transitions(args):
 def _cmd_ab_sweep(args):
     mats = _materials_of(args)
     deltas = args.delta_range if args.delta_range is not None else _floats_from_range("0:1:0.02")
+    states = _states_of(args, 0.0)
     out = []
     for mat in sorted(mats, key=lambda m: m.name):
-        for parity in args.parity:
-            for m in args.m:
-                if parity is Branch.SE and m == 0:
-                    continue
-                base = QuantumState(0, m, parity, 0.0)
-                for d in deltas:
-                    row = qr_energy(replace(base, delta=d), mat, args.D)
-                    ab = ab_correction(base, mat, d, D=args.D)
-                    out.append([mat.name, args.D, m, parity.value, d,
-                                row.lambda_eff, ab])
+        for base in states:
+            # ab_correction(base, mat, d, D) without re-solving the delta = 0 state
+            off = qr_energy(base, mat, args.D).lambda_eff
+            for d in deltas:
+                on = qr_energy(replace(base, delta=d), mat, args.D).lambda_eff
+                out.append([mat.name, args.D, base.m, base.parity.value, d, on, on - off])
     _emit(args, out, ["material", "D", "m", "parity", "delta",
                       "lambda_eff", "ab_correction"])
     return 0
@@ -456,7 +454,15 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early, as `| head` does: not an error;
+        # point stdout at devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ class ConvergenceError(NumericsError):
 
 
 class IntegrationError(NumericsError):
-    """Adaptive quadrature did not reach the requested accuracy."""
+    """A quadrature failed its own accuracy check (two Gauss rules disagree)."""
 
 
 class EvaluationError(NumericsError):

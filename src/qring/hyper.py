@@ -2,8 +2,8 @@
 
 Gamma from the standard library with its poles rejected, generalized Laguerre
 polynomials by three-term recurrence, the terminating 1F1 with negative
-integer first parameter, a terminating 3F2 at unit argument, and the
-closed-form wavefunction normalization constant.
+integer first parameter, a terminating 3F2 at unit argument, the closed-form
+normalization constant, and the Gauss-Laguerre rule, exact for these polynomials.
 
 Every series here terminates by construction; there is deliberately no
 general nonterminating hypergeometric evaluator.
@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import EvaluationError, ParameterError, PoleError
+import numpy as np
+
+from .errors import EvaluationError, IntegrationError, ParameterError, PoleError
 
 
 def gamma(x: float) -> float:
@@ -133,24 +135,31 @@ def normalization_constant(n_r: int, alpha: float, a: float) -> float:
     return prefactor * math.sqrt(bracket)
 
 
+def gauss_laguerre(f, n: int, alpha: float) -> float:
+    """Gauss-Laguerre value of int_0^inf x^alpha e^-x f(x) dx / Gamma(alpha+1).
+
+    Exact for a polynomial f of degree < 2n. Golub-Welsch: the n nodes are the
+    eigenvalues of the Jacobi matrix, the weights the squared first components
+    of its eigenvectors; f takes the node array. IntegrationError when the
+    (n+1)-point rule disagrees.
+    """
+    values = []
+    for size in (n, n + 1):
+        k = np.arange(size, dtype=float)
+        off = np.sqrt(k[1:] * (k[1:] + alpha))
+        # symmetric tridiagonal; eigh reads the lower triangle only
+        nodes, vecs = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, -1))
+        values.append(float(np.sum(vecs[0] ** 2 * f(nodes))))
+    low, value = values
+    if not abs(value - low) <= 1e-10 * max(1.0, abs(value)):
+        raise IntegrationError(f"Gauss-Laguerre {n}/{n + 1}-point gap: {low} vs {value}")
+    return value
+
+
 def laguerre_overlap_quad(n: int, m: int, k: float) -> float:
-    """Audit oracle: int_0^inf q^{k+1/2} e^-q L_n^k(q) L_m^k(q) dq by quadrature."""
-    from scipy.integrate import quad
-
-    upper = 60.0 + 10.0 * (n + m) + 5.0 * abs(k)
-    val, err = quad(
-        lambda t: t ** (k + 0.5) * math.exp(-t) * laguerre(n, k, t) * laguerre(m, k, t),
-        0.0,
-        upper,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=300,
-    )
-    if err > 1e-9 * max(1.0, abs(val)):
-        from .errors import IntegrationError
-
-        raise IntegrationError(f"overlap quadrature error {err} too large")
-    return val
+    """Audit oracle: int_0^inf q^{k+1/2} e^-q L_n^k(q) L_m^k(q) dq by Gauss-Laguerre."""
+    return gamma(k + 1.5) * gauss_laguerre(
+        lambda t: laguerre(n, k, t) * laguerre(m, k, t), (n + m) // 2 + 1, k + 0.5)
 
 
 def laguerre_overlap_closed(n: int, m: int, k: float) -> float:

@@ -12,14 +12,14 @@ normalization fixes N through the radial integral alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import mathieu, spectrum
-from .errors import IntegrationError, ParameterError
-from .hyper import hyp1f1_poly
+from .errors import EvaluationError, ParameterError
+from .hyper import gauss_laguerre, hyp1f1_poly, laguerre
 from .params import SystemParams
 from .spectrum import QuantumState
 
@@ -54,12 +54,18 @@ def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
     _, alpha = spectrum.radial_exponent(e_theta, params)
     a = params.a_length
     coeffs = mathieu.fourier_coeffs(state.m, state.parity, q)
+    N = _closed_form_norm(state.n_r, alpha, a)
+    if N < sys.float_info.min:
+        # the density would print as zeros, then as 0 * inf = nan
+        raise EvaluationError(
+            f"normalization constant {N} underflows for {state}", term_trace=[("N", N)]
+        )
     return WaveSpec(
         state=state,
         params=params,
         a=a,
         alpha=alpha,
-        N=_closed_form_norm(state.n_r, alpha, a),
+        N=N,
         coeffs=coeffs,
     )
 
@@ -67,8 +73,7 @@ def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
 def _radial_factor(spec: WaveSpec, r):
     r = np.asarray(r, dtype=float)
     rho = (r / spec.a) ** 2
-    f = np.array([hyp1f1_poly(spec.state.n_r, spec.beta, x) for x in np.atleast_1d(rho)])
-    f = f.reshape(rho.shape) if rho.shape else f[0]
+    f = hyp1f1_poly(spec.state.n_r, spec.beta, rho)
     expo = 2.0 * spec.alpha - 0.5  # > 0 whenever alpha > 1/4
     return (
         spec.N
@@ -95,26 +100,20 @@ def psi(spec: WaveSpec, r, theta):
 def normalize_numeric(spec: WaveSpec) -> float:
     """Normalization constant from direct quadrature of int |psi|^2 r dr dtheta.
 
-    Authoritative over any closed-form N on disagreement. Radial part by
-    adaptive quadrature in rho, angular part by the rectangle rule (exact
-    for the trigonometric integrand).
+    Authoritative over any closed-form N on disagreement. Radial part by the
+    exact Gauss-Laguerre rule for L_n^(beta-1)(rho)^2 = (1F1(-n, beta, rho) / s)^2,
+    s = n! Gamma(beta) / Gamma(n+beta); angular part by the rectangle rule
+    (exact for the trigonometric integrand).
     """
     beta = spec.beta
     n = spec.state.n_r
-
-    def integrand(rho):
-        return rho ** (beta - 1.0) * math.exp(-rho) * hyp1f1_poly(n, beta, rho) ** 2
-
-    upper = 60.0 + 12.0 * n + 6.0 * beta
-    radial, err = quad(integrand, 0.0, upper, epsabs=1e-14, epsrel=1e-11, limit=400)
-    if not math.isfinite(radial) or radial <= 0 or err > 1e-10 * radial:
-        raise IntegrationError(
-            f"radial normalization quadrature unreliable: value {radial}, err {err}"
-        )
+    radial = gauss_laguerre(lambda rho: laguerre(n, beta - 1.0, rho) ** 2, n + 1, beta - 1.0)
+    log_s = math.lgamma(n + 1) + math.lgamma(beta) - math.lgamma(n + beta)
     th = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     tvals = mathieu.eval_angular(th, spec.coeffs, spec.params.delta)
     angular = float(np.sum(np.abs(tvals) ** 2) * (th[1] - th[0]))
-    return math.sqrt(2.0 / (angular * spec.a * radial))
+    scale = math.exp(-0.5 * math.lgamma(beta) - log_s)
+    return math.sqrt(2.0 / (angular * spec.a * radial)) * scale
 
 
 def renormalized(spec: WaveSpec) -> WaveSpec:
@@ -137,8 +136,7 @@ def count_radial_nodes(spec: WaveSpec) -> int:
         return 0
     # all roots of the degree-n factor sit below rho ~ 4n + 2 beta
     rho = np.geomspace(1e-9, 4.0 * n + 2.0 * spec.beta + 20.0, 4096)
-    vals = np.array([hyp1f1_poly(n, spec.beta, x) for x in rho])
-    signs = np.sign(vals)
+    signs = np.sign(hyp1f1_poly(n, spec.beta, rho))
     keep = signs != 0
     return int(np.sum(np.abs(np.diff(signs[keep])) > 1))
 

@@ -1,10 +1,23 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from qring.cli import _floats_from_range, run
+from qring import Branch, QuantumState, ab_correction, get_material
+from qring.cli import _floats_from_range, _fmt, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cli_process(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
 
 
 def _run(argv):
@@ -65,6 +78,18 @@ def test_ab_sweep_schema_and_defaults():
                                                             abs=1e-10)
 
 
+def test_ab_sweep_column_is_ab_correction():
+    code, out, _ = _run(["ab-sweep", "--m", "0,1,2", "--parity", "ce,se", "--D", "10",
+                         "--delta-range", "0:1:0.1"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 5 * 11  # (ce 0,1,2 + se 1,2) x 11 deltas
+    gaas = get_material("GaAs")
+    for _, d, m, parity, delta, _, ab in rows:
+        state = QuantumState(0, int(m), Branch(parity))
+        assert ab == _fmt(ab_correction(state, gaas, float(delta), D=float(d)))
+
+
 def test_wavefunction_schema():
     code, out, _ = _run(["wavefunction", "--material", "GaAs", "--nr", "2",
                          "--m", "1", "--parity", "ce", "--points", "40"])
@@ -90,6 +115,39 @@ def test_wavefunction_large_m():
     assert all(line.split(",")[2] == "2" for line in out.splitlines()[1:])
 
 
+def test_wavefunction_underflowing_norm_is_numerics_error():
+    # N underflows past m ~ 300 at D = 10; the densities used to print as 0, then nan
+    code, out, err = _run(["wavefunction", "--m", "400", "--D", "10"])
+    assert code == 2
+    assert "numerics error" in err
+    assert "nan" not in out and "Traceback" not in out + err
+    code, out, _ = _run(["wavefunction", "--m", "200", "--D", "10"])
+    assert code == 0
+    assert "nan" not in out
+
+
+def test_closed_pipe_exits_quietly():
+    # more than a pipe buffer of output; the reader takes one line and leaves
+    proc = _cli_process(["-m", "qring.cli", "corrections", "--m", "0,1",
+                         "--D-range", "0:50:0.01"],
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"material,")
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 0
+    assert err == b""
+
+
+def test_cli_import_skips_scipy_integrate():
+    probe = "import sys, qring.cli; print('scipy.integrate' in sys.modules)"
+    proc = _cli_process(["-c", probe], stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert out.decode().strip() == "False"
+
+
 def test_byte_identical_reruns():
     argv = ["corrections", "--material", "GaAs,CdSe", "--m", "0,1,2",
             "--parity", "ce,se", "--D-range", "0:10:2.5"]
@@ -112,6 +170,7 @@ def test_usage_errors_exit_1():
                  ["energies", "--parity", "left"],
                  ["corrections", "--D-range", "5:1:1"],
                  ["corrections", "--D-range", "1:2:3:4"],
+                 ["ab-sweep", "--m", "0", "--parity", "se"],
                  ["nonsense"],
                  []):
         code, _, err = _run(argv)

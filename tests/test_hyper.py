@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qring.errors import EvaluationError, ParameterError, PoleError
+from qring.errors import EvaluationError, IntegrationError, ParameterError, PoleError
 from qring.hyper import (
     gamma,
+    gauss_laguerre,
     hyp1f1_poly,
     hyp3f2_unit,
     laguerre,
@@ -66,6 +67,17 @@ def test_hyp3f2_pole():
     # denominator parameter hits a non-positive integer inside the sum
     with pytest.raises(PoleError):
         hyp3f2_unit(-3, 1.0, 1.0, -1.0, 0.5)
+
+
+def test_gauss_laguerre_exact_for_polynomials():
+    # E[x^3] under the Gamma(alpha+1) weight: (alpha+1)(alpha+2)(alpha+3)
+    assert gauss_laguerre(lambda x: x ** 3, 2, 0.5) == pytest.approx(13.125, abs=1e-13)
+
+
+def test_gauss_laguerre_rejects_underresolved_integrand():
+    # degree 6 is beyond both the 2- and the 3-point rule
+    with pytest.raises(IntegrationError):
+        gauss_laguerre(lambda x: x ** 6, 2, 0.5)
 
 
 def test_overlap_quad_gamma_identities():

@@ -53,7 +53,7 @@ def test_node_counts():
 
 
 def test_quadrature_confirms_closed_norm():
-    for n_r in (0, 2):
+    for n_r in (0, 2, 20):
         for m, parity in ((0, Branch.CE), (2, Branch.SE)):
             spec = _spec(n_r=n_r, m=m, parity=parity, D=8.0)
             assert (spec.N / normalize_numeric(spec)) ** 2 == pytest.approx(
@@ -61,11 +61,13 @@ def test_quadrature_confirms_closed_norm():
 
 
 def test_large_m_closed_norm_and_nodes():
-    # beta ~ 100 here: Gamma(beta)^2 alone overflows a double
-    for n_r in (0, 2):
-        spec = _spec(n_r=n_r, m=100, D=10.0)
-        assert spec.N == pytest.approx(normalize_numeric(spec), rel=1e-9)
-        assert count_radial_nodes(spec) == n_r
+    # beta ~ m here: Gamma(beta)^2 alone overflows a double, and at m = 150
+    # so does the weight rho^(beta-1) near its peak
+    for m in (100, 150):
+        for n_r in (0, 2):
+            spec = _spec(n_r=n_r, m=m, D=10.0)
+            assert spec.N == pytest.approx(normalize_numeric(spec), rel=1e-9)
+            assert count_radial_nodes(spec) == n_r
 
 
 def test_renormalized_reproduces_closed_norm():
