@@ -36,7 +36,7 @@ def _floats_from_range(text: str):
     if len(parts) != 3:
         raise UsageError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise UsageError(f"bad range {text!r}")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [start + k * step for k in range(n)]
@@ -300,6 +300,10 @@ def _cmd_wavefunction(args):
     mats = _materials_of(args)
     if len(mats) != 1 or len(args.m) != 1 or len(args.parity) != 1 or len(args.nr) != 1:
         raise UsageError("wavefunction takes exactly one material and one state")
+    if args.points < 0:
+        raise UsageError(f"--points must be >= 0, got {args.points}")
+    if not math.isfinite(args.r_max):
+        raise DomainError(f"--r-max must be finite, got {args.r_max}")
     from .params import from_material
 
     state = QuantumState(args.nr[0], args.m[0], args.parity[0], args.delta)

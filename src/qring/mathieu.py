@@ -6,11 +6,10 @@ problems. Cosine-elliptic solutions of even order couple cos(2kz) modes,
 sine-elliptic ones couple sin(2kz); a real Floquet exponent nu couples the
 shifted lattice exp(i(nu+2k)z), k in Z. All three are solved by one routine:
 truncated tridiagonal diagonalization with one long-double Rayleigh-quotient
-refinement step, the truncation K doubling from the first power of two
->= 32 that exceeds the order m (nu/2 on the Floquet lattice). It stops on
-a single rule: successive values differ by < 1e-12 and the outermost
-Fourier coefficient (both ends of the Floquet lattice) is <= 1e-14 of the
-largest.
+refinement step. The truncation K starts at twice the first power of two
+>= 32 above the order m (nu/2 on the Floquet lattice) and doubles until
+|q| * tail <= 1e-12, a bound on the distance to an exact eigenvalue, and
+tail <= 1e-14 of the largest Fourier coefficient (see _solve).
 """
 from __future__ import annotations
 
@@ -24,9 +23,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, ParameterError
 
-_TRUNC_START = 32
+_TRUNC_START = 64
 _TRUNC_CAP = 4096
-_TRUNC_TOL = 1e-12  # absolute change between successive truncations
+_TRUNC_TOL = 1e-12  # residual bound |q| * tail on the characteristic value
 _TAIL_TOL = 1e-14  # outermost coefficient relative to the largest
 _Q_BOUND = 1e4  # truncation-validity bound for |q|
 
@@ -115,26 +114,26 @@ def _check_q(q: float):
 
 
 def _solve(branch: Optional[Branch], order, q: float):
-    """(value, unit eigenvector, K) of the wanted eigenvalue, K doubling.
+    """(value, unit eigenvector, K) of the wanted eigenvalue, one solve per K.
 
-    K starts at the first power of two >= 32 above the order m (nu/2 on the
-    Floquet lattice) and doubles until successive values differ by < 1e-12
-    and the outermost coefficient is <= 1e-14 of the largest.
+    tail is the outermost coefficient, on the Floquet lattice the bottom one
+    and every top one with |nu+2k| >= 2K - nu, its mirror, so that the states
+    near -nu below the wanted index fit too. The zero-padded vector then has
+    residual <= |q| * tail in the untruncated operator: an exact eigenvalue
+    lies that close (Parlett, The Symmetric Eigenvalue Problem, 1998, 4.5).
     """
     m = order if branch is not None else order / 2.0
-    K = max(_TRUNC_START, 1 << int(m).bit_length())  # smallest power of two > m
+    K = max(_TRUNC_START, 2 << int(m).bit_length())  # twice the smallest power of two > m
     value = prev = None
     while K <= _TRUNC_CAP:
-        value, vec = _refined_eig(*_tridiag(branch, order, K, q))
-        tail = abs(vec[-1]) if branch is not None else max(abs(vec[0]), abs(vec[-1]))
-        if (prev is not None and abs(value - prev) < _TRUNC_TOL
-                and tail <= _TAIL_TOL * np.max(np.abs(vec))):
+        prev, (value, vec) = value, _refined_eig(*_tridiag(branch, order, K, q))
+        tail = (abs(vec[-1]) if branch is not None
+                else math.hypot(vec[0], np.max(np.abs(vec[2 * K - int(order):]))))
+        if abs(q) * tail <= _TRUNC_TOL and tail <= _TAIL_TOL * np.max(np.abs(vec)):
             return value, vec, K
-        prev = value
         K *= 2
     raise ConvergenceError(
-        f"characteristic value did not settle below {_TRUNC_TOL} "
-        f"by truncation {_TRUNC_CAP}",
+        f"residual bound |q| * tail above {_TRUNC_TOL} at truncation {_TRUNC_CAP}",
         last=value,
         previous=prev,
     )

@@ -77,6 +77,8 @@ class MaterialSpec:
             raise ParameterError(f"eps_r must be > 0, got {self.eps_r}")
         if self.lam < 0:
             raise ParameterError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.hbar_omega0) and self.hbar_omega0 > 0):
+            raise ParameterError(f"hbar_omega0 must be finite and > 0, got {self.hbar_omega0}")
 
 
 @dataclass(frozen=True)

@@ -148,12 +148,17 @@ def radial_profile(spec: WaveSpec, r_grid) -> ProfileTable:
     the angular factor) to 1; its n_r = 0 maximum sits near r = a sqrt(2 alpha).
     """
     r = np.asarray(r_grid, dtype=float)
-    if r.size and (np.any(r < 0) or np.any(np.diff(r) < 0)):
+    if not np.all(r >= 0) or np.any(np.diff(r) < 0):  # r >= 0 is False for nan
         raise ParameterError("r_grid must be ascending and non-negative")
-    if r.size == 0:
-        return ProfileTable(rows=(), nodes=count_radial_nodes(spec))
-    f = _radial_factor(spec, r)
-    dens = r * np.abs(f) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = r * np.abs(_radial_factor(spec, r)) ** 2
+    overflow = ~np.isfinite(dens)
+    if overflow.any():
+        # (r/a)^(2 alpha - 1/2) overflows before N and the Gaussian scale it down
+        raise EvaluationError(
+            f"density overflows at {int(overflow.sum())} of {r.size} grid points "
+            f"for {spec.state}", term_trace=[("N", spec.N)]
+        )
     return ProfileTable(
         rows=tuple(zip(r.tolist(), dens.tolist())),
         nodes=count_radial_nodes(spec),

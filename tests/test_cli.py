@@ -126,6 +126,17 @@ def test_wavefunction_underflowing_norm_is_numerics_error():
     assert "nan" not in out
 
 
+def test_wavefunction_overflowing_density_is_numerics_error():
+    # (r/a)^(2 alpha - 1/2) overflows at large r before N and the Gaussian act
+    code, out, err = _run(["wavefunction", "--m", "250", "--D", "10", "--r-max", "20"])
+    assert code == 2
+    assert "numerics error" in err
+    assert "inf" not in out and "Traceback" not in err
+    code, out, _ = _run(["wavefunction", "--m", "250", "--D", "10"])
+    assert code == 0
+    assert "inf" not in out
+
+
 def test_closed_pipe_exits_quietly():
     # more than a pipe buffer of output; the reader takes one line and leaves
     proc = _cli_process(["-m", "qring.cli", "corrections", "--m", "0,1",
@@ -171,6 +182,8 @@ def test_usage_errors_exit_1():
                  ["corrections", "--D-range", "5:1:1"],
                  ["corrections", "--D-range", "1:2:3:4"],
                  ["ab-sweep", "--m", "0", "--parity", "se"],
+                 ["corrections", "--D-range", "0:inf:1"],
+                 ["wavefunction", "--points", "-1"],
                  ["nonsense"],
                  []):
         code, _, err = _run(argv)
@@ -187,6 +200,10 @@ def test_domain_errors_exit_3():
     assert code == 1  # no valid states is a usage problem
     code, _, err = _run(["energies", "--material", "GaAs", "--D", "-3"])
     assert code == 3
+    code, out, err = _run(["wavefunction", "--r-max", "nan"])
+    assert code == 3 and out == ""
+    code, out, err = _run(["energies", "--hbar-omega0", "-1"])
+    assert code == 3 and out == ""
 
 
 def test_config_file_merging(tmp_path):

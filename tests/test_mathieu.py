@@ -12,6 +12,7 @@ from scipy import special
 
 from qring import (
     Branch,
+    ConvergenceError,
     ParameterError,
     char_value,
     char_value_fractional,
@@ -20,6 +21,7 @@ from qring import (
     fourier_coeffs,
     series_p8_estimate,
 )
+from qring import mathieu
 
 
 def test_q_zero_exact():
@@ -190,3 +192,71 @@ def test_eval_angular_orthogonality():
             g = float(np.real(np.sum(np.conj(vals[i]) * vals[j])) * h)
             expect = math.pi if i == j else 0.0
             assert g == pytest.approx(expect, abs=1e-10)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts the eigh_tridiagonal calls the Mathieu solver makes."""
+    calls = []
+    real = mathieu.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mathieu, "eigh_tridiagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [0.1, 0.2118, 0.56])
+def test_one_eigensolve_per_value(eig_calls, q):
+    for m in range(4):
+        solves = [lambda: char_value(m, Branch.CE, q),
+                  lambda: fourier_coeffs(m, Branch.CE, q),
+                  lambda: char_value_fractional(2.0 * (m + 0.3), q)]
+        if m:
+            solves += [lambda: char_value(m, Branch.SE, q),
+                       lambda: fourier_coeffs(m, Branch.SE, q)]
+        for solve in solves:
+            eig_calls.clear()
+            solve()
+            assert len(eig_calls) == 1
+
+
+def test_large_q_doubles_the_truncation(eig_calls):
+    char_value(10, Branch.CE, 1e4)
+    assert eig_calls == [65, 129]  # K = 64 fails the residual bound, K = 128 meets it
+
+
+@pytest.mark.parametrize("q", [0.2, 25.0, 1e4])
+@pytest.mark.parametrize("m", [0, 3, 33, 100])
+def test_returned_pair_meets_residual_bound(m, q):
+    cases = [(Branch.CE, m), (None, 2.0 * (m + 0.3))]
+    if m:
+        cases.append((Branch.SE, m))
+    for branch, order in cases:
+        value, vec, K = mathieu._solve(branch, order, q)
+        tail = abs(vec[-1]) if branch is not None else math.hypot(vec[0], vec[-1])
+        assert abs(q) * tail <= 1e-12
+        # an exact eigenvalue lies within |q| * tail: doubling K moves the
+        # value by no more than that plus rounding
+        wide = mathieu._refined_eig(*mathieu._tridiag(branch, order, 2 * K, q))[0]
+        assert abs(wide - value) <= 1e-12 + 8 * np.spacing(abs(value))
+
+
+@pytest.mark.parametrize("m,delta,q", [(31, 0.3, 1000.0), (63, 0.3, 3000.0),
+                                       (127, 0.5, 1e4)])
+def test_fractional_index_survives_mirror_states(m, delta, q):
+    # at K = 2 << bit_length(m) the bottom end of the Floquet lattice sits a
+    # site or two past the mirror states near -nu; the wanted vector alone meets
+    # the residual bound there, but the sorted index would pick the next value up
+    nu = 2.0 * (m + delta)
+    wide = mathieu._refined_eig(*mathieu._tridiag(None, nu, 4096, q))[0]
+    assert char_value_fractional(nu, q).value == pytest.approx(wide, rel=1e-12)
+
+
+def test_truncation_cap_raises_with_last_value(monkeypatch):
+    monkeypatch.setattr(mathieu, "_TRUNC_CAP", 64)
+    with pytest.raises(ConvergenceError) as info:
+        char_value(10, Branch.CE, 1e4)
+    assert math.isfinite(info.value.last)

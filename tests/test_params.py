@@ -69,6 +69,9 @@ def test_params_validation():
         kw[field] = bad
         with pytest.raises(ParameterError):
             SystemParams(**kw)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            MaterialSpec("X", m_star=0.067, eps_r=12.65, hbar_omega0=bad)
 
 
 def test_pho_mapping_is_tan_inkson():

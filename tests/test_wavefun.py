@@ -98,6 +98,8 @@ def test_radial_profile_grid_validation():
         radial_profile(spec, np.array([0.5, 0.1]))  # not ascending
     with pytest.raises(ParameterError):
         radial_profile(spec, np.array([-1.0, 0.5]))
+    with pytest.raises(ParameterError):
+        radial_profile(spec, np.array([0.0, math.nan]))
 
 
 def test_pho_wave_matches_direct_params():
