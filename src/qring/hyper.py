@@ -1,9 +1,10 @@
 """Terminating hypergeometric machinery.
 
-Gamma from the standard library with its poles rejected, generalized Laguerre
-polynomials by three-term recurrence, the terminating 1F1 with negative
-integer first parameter, a terminating 3F2 at unit argument, the closed-form
-normalization constant, and the Gauss-Laguerre rule, exact for these polynomials.
+Gamma from the standard library with its poles rejected, the terminating 1F1
+with negative integer first parameter by the three-term Laguerre recurrence
+(generalized Laguerre polynomials are its multiples), a terminating 3F2 at
+unit argument, the closed-form normalization constant, and the Gauss-Laguerre
+rule with Christoffel weights, exact for these polynomials.
 
 Every series here terminates by construction; there is deliberately no
 general nonterminating hypergeometric evaluator.
@@ -11,6 +12,7 @@ general nonterminating hypergeometric evaluator.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,35 +31,30 @@ def gamma(x: float) -> float:
 def hyp1f1_poly(n_r: int, b: float, x: float) -> float:
     """Terminating 1F1(-n_r, b, x) = sum_{k<=n_r} (-n_r)_k / (b)_k x^k / k!.
 
-    Forward recurrence on term ratios; exact termination after n_r+1 terms.
+    By the Laguerre recurrence rescaled to M_j = 1F1(-j, b, x):
+    (b+j) M_{j+1} = (2j+b-x) M_j - j M_{j-1}, stable where the power sum
+    cancels. x may be an array; n_r = 0 gives the scalar 1.0.
     """
     if n_r < 0 or int(n_r) != n_r:
         raise ParameterError(f"n_r must be a non-negative integer, got {n_r}")
     if b <= 0.0 and b == round(b):
         raise ParameterError(f"b must not be a non-positive integer, got {b}")
-    n_r = int(n_r)
-    acc = 1.0
-    term = 1.0
-    for k in range(n_r):
-        term *= (-n_r + k) / ((b + k) * (k + 1)) * x
-        acc += term
-    return acc
+    prev, cur = 0.0, 1.0
+    for j in range(int(n_r)):
+        prev, cur = cur, ((2 * j + b - x) * cur - j * prev) / (b + j)
+    return cur
 
 
 def laguerre(n: int, k: float, x: float) -> float:
-    """Generalized Laguerre L_n^{(k)}(x) via the stable three-term recurrence."""
+    """Generalized Laguerre L_n^{(k)}(x) = binom(n+k, n) 1F1(-n, k+1, x)."""
     if n < 0 or int(n) != n:
         raise ParameterError(f"degree must be a non-negative integer, got {n}")
     if k <= -1.0:
         raise ParameterError(f"order must satisfy k > -1, got {k}")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + k - x
-    for j in range(2, n + 1):
-        prev, cur = cur, ((2 * j - 1 + k - x) * cur - (j - 1 + k) * prev) / j
-    return cur
+    log_binom = math.lgamma(n + k + 1.0) - math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
+    if log_binom > math.log(sys.float_info.max):
+        raise EvaluationError(f"binom(n+k, n) overflows a double for n = {n}, k = {k}")
+    return math.exp(log_binom) * hyp1f1_poly(n, k + 1.0, x)
 
 
 def hyp3f2_unit(a1: int, a2: float, a3: float, b1: float, b2: float) -> float:
@@ -138,18 +135,23 @@ def normalization_constant(n_r: int, alpha: float, a: float) -> float:
 def gauss_laguerre(f, n: int, alpha: float) -> float:
     """Gauss-Laguerre value of int_0^inf x^alpha e^-x f(x) dx / Gamma(alpha+1).
 
-    Exact for a polynomial f of degree < 2n. Golub-Welsch: the n nodes are the
-    eigenvalues of the Jacobi matrix, the weights the squared first components
-    of its eigenvectors; f takes the node array. IntegrationError when the
-    (n+1)-point rule disagrees.
+    Exact for a polynomial f of degree < 2n. Nodes: eigenvalues of the Jacobi
+    matrix. Weights: Christoffel numbers 1 / sum_{k<n} p_k(x)^2, orthonormal p_k
+    by the recurrence on the same entries (Gautschi 2004), so even the outermost
+    keep their relative accuracy. f takes the node array. IntegrationError
+    when the (n+1)-point rule disagrees.
     """
     values = []
     for size in (n, n + 1):
         k = np.arange(size, dtype=float)
-        off = np.sqrt(k[1:] * (k[1:] + alpha))
-        # symmetric tridiagonal; eigh reads the lower triangle only
-        nodes, vecs = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, -1))
-        values.append(float(np.sum(vecs[0] ** 2 * f(nodes))))
+        diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))  # off[0] = 0
+        # symmetric tridiagonal; eigvalsh reads the lower triangle only
+        nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], -1))
+        prev, cur, total = 0.0, 1.0, 1.0
+        for j in range(size - 1):
+            prev, cur = cur, ((nodes - diag[j]) * cur - off[j] * prev) / off[j + 1]
+            total = total + cur * cur
+        values.append(float(np.sum(f(nodes) / total)))
     low, value = values
     if not abs(value - low) <= 1e-10 * max(1.0, abs(value)):
         raise IntegrationError(f"Gauss-Laguerre {n}/{n + 1}-point gap: {low} vs {value}")

@@ -9,7 +9,8 @@ truncated tridiagonal diagonalization with one long-double Rayleigh-quotient
 refinement step. The truncation K starts at twice the first power of two
 >= 32 above the order m (nu/2 on the Floquet lattice) and doubles until
 |q| * tail <= 1e-12, a bound on the distance to an exact eigenvalue, and
-tail <= 1e-14 of the largest Fourier coefficient (see _solve).
+tail <= 1e-14 of the largest Fourier coefficient (see _solve). K is capped
+at 4096, so orders m (nu/2) of 2048 and above are a ParameterError.
 """
 from __future__ import annotations
 
@@ -124,6 +125,9 @@ def _solve(branch: Optional[Branch], order, q: float):
     """
     m = order if branch is not None else order / 2.0
     K = max(_TRUNC_START, 2 << int(m).bit_length())  # twice the smallest power of two > m
+    if K > _TRUNC_CAP:
+        raise ParameterError(f"order {m} (m, or nu/2 at fractional order) is above the "
+                             f"largest solvable order {_TRUNC_CAP // 2 - 1}")
     value = prev = None
     while K <= _TRUNC_CAP:
         prev, (value, vec) = value, _refined_eig(*_tridiag(branch, order, K, q))
@@ -296,16 +300,12 @@ def eval_angular(theta, coeffs: FourierCoeffs, delta: float = 0.0):
     Bloch-type phase. That is exact at q = 0 or integer delta, and is the
     adopted convention otherwise (the phase never changes |Theta|, so the
     pi-normalization holds for any delta). Accepts scalar or array theta.
+    One Horner sum s = sum_k c_k e^{ik theta}: CE is Re s, SE Im(e^{i theta} s).
     """
     th = np.asarray(theta, dtype=float)
-    acc = np.zeros_like(th)
-    if coeffs.branch is Branch.CE:
-        for k, ck in enumerate(coeffs.coeffs):
-            acc = acc + ck * np.cos(k * th)
-    else:
-        for k, ck in enumerate(coeffs.coeffs):
-            acc = acc + ck * np.sin((k + 1) * th)
-    out = acc * np.exp(1j * delta * th)
+    z = np.exp(1j * th)
+    s = np.polynomial.polynomial.polyval(z, coeffs.coeffs)  # sum_k c_k z^k by Horner
+    out = (s.real if coeffs.branch is Branch.CE else (z * s).imag) * np.exp(1j * delta * th)
     if np.isscalar(theta) or getattr(theta, "ndim", 0) == 0:
         return complex(out)
     return out

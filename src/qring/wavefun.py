@@ -6,8 +6,11 @@ radial factor is
     f(r) = N (r/a)^(2 alpha - 1/2) a^(-1/2) e^(-r^2/2a^2) 1F1(-n_r, beta, r^2/a^2)
 
 with beta = 2 alpha + 1/2. The combined exponent keeps r = 0 regular for
-every alpha >= 1/4. The angular factor integrates to pi over a period, so
-normalization fixes N through the radial integral alone.
+every alpha >= 1/4. N, the power and the Gaussian are evaluated as one
+exponential of their summed logs, the polynomial by the 1F1 recurrence of
+hyper, which also serves the node count and the quadrature normalization.
+The angular factor integrates to pi over a period, so normalization fixes N
+through the radial integral alone.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import mathieu, spectrum
 from .errors import EvaluationError, ParameterError
-from .hyper import gauss_laguerre, hyp1f1_poly, laguerre
+from .hyper import gauss_laguerre, hyp1f1_poly
 from .params import SystemParams
 from .spectrum import QuantumState
 
@@ -71,24 +74,19 @@ def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
 
 
 def _radial_factor(spec: WaveSpec, r):
-    r = np.asarray(r, dtype=float)
-    rho = (r / spec.a) ** 2
-    f = hyp1f1_poly(spec.state.n_r, spec.beta, rho)
-    expo = 2.0 * spec.alpha - 0.5  # > 0 whenever alpha > 1/4
-    return (
-        spec.N
-        * (r / spec.a) ** expo
-        / math.sqrt(spec.a)
-        * np.exp(-rho / 2.0)
-        * f
-    )
+    rho = (np.asarray(r, dtype=float) / spec.a) ** 2
+    # N (r/a)^(beta-1) e^(-rho/2) in one exponent: the power alone overflows
+    # at large m; log 0 = -inf makes r = 0 exactly 0 (beta > 1)
+    with np.errstate(divide="ignore"):
+        scale = np.exp(math.log(spec.N) + 0.5 * ((spec.beta - 1.0) * np.log(rho) - rho))
+    return scale / math.sqrt(spec.a) * hyp1f1_poly(spec.state.n_r, spec.beta, rho)
 
 
 def psi(spec: WaveSpec, r, theta):
     """psi(r, theta), complex. Scalar or array arguments (broadcastable)."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise ParameterError("r must be >= 0")
+    if not np.all(np.isfinite(r_arr) & (r_arr >= 0)) or not np.all(np.isfinite(theta)):
+        raise ParameterError("r must be finite and >= 0, theta finite")
     radial = _radial_factor(spec, r_arr)
     angular = mathieu.eval_angular(theta, spec.coeffs, spec.params.delta)
     out = radial * angular
@@ -101,19 +99,17 @@ def normalize_numeric(spec: WaveSpec) -> float:
     """Normalization constant from direct quadrature of int |psi|^2 r dr dtheta.
 
     Authoritative over any closed-form N on disagreement. Radial part by the
-    exact Gauss-Laguerre rule for L_n^(beta-1)(rho)^2 = (1F1(-n, beta, rho) / s)^2,
-    s = n! Gamma(beta) / Gamma(n+beta); angular part by the rectangle rule
+    exact Gauss-Laguerre rule for 1F1(-n, beta, rho)^2 against the weight
+    rho^(beta-1) e^-rho / Gamma(beta); angular part by the rectangle rule
     (exact for the trigonometric integrand).
     """
     beta = spec.beta
     n = spec.state.n_r
-    radial = gauss_laguerre(lambda rho: laguerre(n, beta - 1.0, rho) ** 2, n + 1, beta - 1.0)
-    log_s = math.lgamma(n + 1) + math.lgamma(beta) - math.lgamma(n + beta)
+    radial = gauss_laguerre(lambda rho: hyp1f1_poly(n, beta, rho) ** 2, n + 1, beta - 1.0)
     th = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     tvals = mathieu.eval_angular(th, spec.coeffs, spec.params.delta)
     angular = float(np.sum(np.abs(tvals) ** 2) * (th[1] - th[0]))
-    scale = math.exp(-0.5 * math.lgamma(beta) - log_s)
-    return math.sqrt(2.0 / (angular * spec.a * radial)) * scale
+    return math.sqrt(2.0 / (angular * spec.a * radial)) * math.exp(-0.5 * math.lgamma(beta))
 
 
 def renormalized(spec: WaveSpec) -> WaveSpec:
@@ -154,7 +150,7 @@ def radial_profile(spec: WaveSpec, r_grid) -> ProfileTable:
         dens = r * np.abs(_radial_factor(spec, r)) ** 2
     overflow = ~np.isfinite(dens)
     if overflow.any():
-        # (r/a)^(2 alpha - 1/2) overflows before N and the Gaussian scale it down
+        # the polynomial overflows far out on the grid before the Gaussian acts
         raise EvaluationError(
             f"density overflows at {int(overflow.sum())} of {r.size} grid points "
             f"for {spec.state}", term_trace=[("N", spec.N)]

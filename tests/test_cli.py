@@ -7,9 +7,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
-from qring import Branch, QuantumState, ab_correction, get_material
+from qring import Branch, QuantumState, ab_correction, from_material, get_material, make_wave
 from qring.cli import _floats_from_range, _fmt, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -126,15 +128,51 @@ def test_wavefunction_underflowing_norm_is_numerics_error():
     assert "nan" not in out
 
 
+def _mp_density(spec, r):
+    # r |f(r)|^2 at 50 digits, with the program's N, alpha and a
+    with mpmath.workdps(50):
+        a, alpha, r = mpmath.mpf(spec.a), mpmath.mpf(spec.alpha), mpmath.mpf(r)
+        rho = (r / a) ** 2
+        f = (mpmath.mpf(spec.N) * (r / a) ** (2 * alpha - 0.5) / mpmath.sqrt(a)
+             * mpmath.exp(-rho / 2) * mpmath.hyp1f1(-spec.state.n_r, 2 * alpha + 0.5, rho))
+        return r * f * f
+
+
+def _check_printed_densities(argv, m, n_r, D, r_max=8.0):
+    code, out, err = _run(["wavefunction", *argv])
+    assert code == 0 and err == ""
+    assert "nan" not in out and "inf" not in out
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert {int(row[2]) for row in rows} == {n_r}
+    spec = make_wave(QuantumState(n_r, m, Branch.CE), from_material(get_material("GaAs"), D, 0.0))
+    grid = np.linspace(0.0, r_max * spec.a, len(rows))
+    ref = [_mp_density(spec, r) for r in grid]
+    peak = max(ref)
+    for row, exact in zip(rows, ref):
+        # 2e-13 of the peak, plus half a unit in the 12th printed digit
+        assert abs(mpmath.mpf(row[1]) - exact) <= 2e-13 * peak + 5e-12 * exact
+
+
+@pytest.mark.parametrize("argv,m,n_r,D,r_max", [
+    (["--m", "3", "--nr", "4", "--D", "7"], 3, 4, 7.0, 8.0),
+    (["--m", "100", "--nr", "2", "--D", "10"], 100, 2, 10.0, 8.0),
+    (["--m", "100", "--nr", "15", "--D", "10", "--r-max", "16"], 100, 15, 10.0, 16.0),
+    (["--m", "20", "--nr", "25", "--D", "3", "--r-max", "14"], 20, 25, 3.0, 14.0),
+    (["--m", "100", "--nr", "20", "--D", "10"], 100, 20, 10.0, 8.0),
+])
+def test_wavefunction_densities_match_mpmath(argv, m, n_r, D, r_max):
+    _check_printed_densities(argv, m, n_r, D, r_max)
+
+
 def test_wavefunction_overflowing_density_is_numerics_error():
-    # (r/a)^(2 alpha - 1/2) overflows at large r before N and the Gaussian act
-    code, out, err = _run(["wavefunction", "--m", "250", "--D", "10", "--r-max", "20"])
+    # N, (r/a)^(2 alpha - 1/2) and the Gaussian combine in one exponent, so
+    # m = 250 out to 20 oscillator lengths is finite and right
+    _check_printed_densities(["--m", "250", "--D", "10", "--r-max", "20"], 250, 0, 10.0, 20.0)
+    # the degree-60 polynomial itself still overflows far out
+    code, out, err = _run(["wavefunction", "--nr", "60", "--r-max", "1e6"])
     assert code == 2
     assert "numerics error" in err
-    assert "inf" not in out and "Traceback" not in err
-    code, out, _ = _run(["wavefunction", "--m", "250", "--D", "10"])
-    assert code == 0
-    assert "inf" not in out
+    assert "inf" not in out and "nan" not in out and "Traceback" not in err
 
 
 def test_closed_pipe_exits_quietly():
@@ -204,6 +242,9 @@ def test_domain_errors_exit_3():
     assert code == 3 and out == ""
     code, out, err = _run(["energies", "--hbar-omega0", "-1"])
     assert code == 3 and out == ""
+    code, out, err = _run(["ab-sweep", "--delta-range", "1e6", "--D", "1"])
+    assert code == 3 and out == ""
+    assert "largest solvable order 2047" in err
 
 
 def test_config_file_merging(tmp_path):

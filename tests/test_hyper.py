@@ -33,15 +33,43 @@ def test_gamma_poles():
             gamma(x)
 
 
-def test_hyp1f1_matches_laguerre():
-    # L_n^k(x) = binom(n+k, n) 1F1(-n; k+1; x)
+def _weighted_error(got, ref, x, b):
+    # error relative to the largest value, both weighted by sqrt(x^(b-1) e^-x),
+    # the scale at which the polynomial enters a normalized wavefunction
+    logw = 0.5 * ((b - 1.0) * np.log(np.maximum(x, 1e-300)) - x)
+    w = np.exp(logw - np.max(logw))
+    return np.max(np.abs(got - ref) * w) / np.max(np.abs(ref) * w)
+
+
+@pytest.mark.parametrize("b", [1.0, 4.5, 40.5, 200.5])
+@pytest.mark.parametrize("n", [5, 15, 20, 25, 30, 45, 60])
+def test_hyp1f1_against_mpmath(n, b):
+    # the roots of the degree-n polynomial lie below 4n + 2b
+    x = np.linspace(0.0, 4.0 * n + 2.0 * b + 40.0, 300)
+    ref = np.array([float(mpmath.hyp1f1(-n, b, mpmath.mpf(float(t)))) for t in x])
+    assert _weighted_error(hyp1f1_poly(n, b, x), ref, x, b) <= 1e-13
+
+
+@pytest.mark.parametrize("b", [-0.5, -2.5])
+def test_hyp1f1_negative_b_against_mpmath(b):
+    # x^(b-1) is not integrable at 0 here, so the error is relative to the largest value
+    x = np.linspace(0.0, 30.0, 61)
     for n in range(7):
-        for k in (0.3, 1.5, 2.0):
-            binom = math.gamma(n + k + 1) / (math.gamma(n + 1) * math.gamma(k + 1))
-            for x in (0.0, 0.5, 3.0, 10.0, 20.0):
-                lhs = laguerre(n, k, x)
-                rhs = binom * hyp1f1_poly(n, k + 1, x)
-                assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
+        ref = np.array([float(mpmath.hyp1f1(-n, b, mpmath.mpf(float(t)))) for t in x])
+        assert np.max(np.abs(hyp1f1_poly(n, b, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_laguerre_against_mpmath():
+    for n in (0, 1, 4, 20, 40):
+        for k in (-0.5, 0.0, 1.5, 30.0):
+            # from x > 0: the weight x^k is unbounded at 0 for k < 0
+            x = np.linspace(0.01, 4.0 * n + 2.0 * k + 40.0, 120)
+            ref = np.array([float(mpmath.laguerre(n, k, mpmath.mpf(float(t)))) for t in x])
+            got = np.array([laguerre(n, k, float(t)) for t in x])
+            assert _weighted_error(got, ref, x, k + 1.0) <= 1e-13
+    # binom(2000, 1000) ~ 1e600: no double holds the value
+    with pytest.raises(EvaluationError):
+        laguerre(1000, 1000.0, 1.0)
 
 
 def test_hyp1f1_rejects_polynomial_breakdown():
@@ -72,6 +100,13 @@ def test_hyp3f2_pole():
 def test_gauss_laguerre_exact_for_polynomials():
     # E[x^3] under the Gamma(alpha+1) weight: (alpha+1)(alpha+2)(alpha+3)
     assert gauss_laguerre(lambda x: x ** 3, 2, 0.5) == pytest.approx(13.125, abs=1e-13)
+    # int x^alpha e^-x L_n^alpha(x)^2 dx / Gamma(alpha+1) = binom(n+alpha, n);
+    # the outermost weights are far below machine epsilon of the largest
+    for n, alpha in ((30, 0.5), (60, 3.0), (40, 199.5)):
+        exact = math.exp(math.lgamma(n + alpha + 1) - math.lgamma(n + 1)
+                         - math.lgamma(alpha + 1))
+        got = gauss_laguerre(lambda x: laguerre(n, alpha, x) ** 2, n + 1, alpha)
+        assert got == pytest.approx(exact, rel=1e-12)
 
 
 def test_gauss_laguerre_rejects_underresolved_integrand():

@@ -6,6 +6,7 @@ the series and collocation routes.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -179,6 +180,21 @@ def test_eval_angular_flux_phase():
     assert np.allclose(fluxed, np.exp(0.3j * th) * plain, atol=1e-14)
 
 
+@pytest.mark.parametrize("m,branch,q", [(500, Branch.CE, 1e4), (100, Branch.SE, 1e3)])
+def test_eval_angular_against_mpmath(m, branch, q):
+    fc = fourier_coeffs(m, branch, q)
+    th = np.linspace(0.0, 2 * np.pi, 41)
+    got = eval_angular(th, fc)
+    with mpmath.workdps(40):
+        trig = mpmath.cos if branch is Branch.CE else mpmath.sin
+        shift = 0 if branch is Branch.CE else 1
+        ref = [float(mpmath.fsum(float(c) * trig((k + shift) * mpmath.mpf(float(t)))
+                                 for k, c in enumerate(fc.coeffs))) for t in th]
+    assert np.max(np.abs(got.real - ref)) <= 1e-13
+    assert np.all(got.imag == 0.0)
+    assert isinstance(eval_angular(0.3, fc), complex)
+
+
 def test_eval_angular_orthogonality():
     # rectangle rule is exact for trig polynomials on the periodic grid
     n = 512
@@ -260,3 +276,16 @@ def test_truncation_cap_raises_with_last_value(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         char_value(10, Branch.CE, 1e4)
     assert math.isfinite(info.value.last)
+
+
+def test_orders_past_the_truncation_cap_are_parameter_errors():
+    # K would start above _TRUNC_CAP; the error names the largest solvable order
+    with pytest.raises(ParameterError, match="2047"):
+        char_value(2048, Branch.CE, 0.1)
+    with pytest.raises(ParameterError, match="2047"):
+        char_value_fractional(4096.5, 0.1)
+    with pytest.raises(ParameterError):
+        fourier_coeffs(2048, Branch.SE, 0.1)
+    assert char_value(2048, Branch.CE, 0.0).value == 4096.0 ** 2
+    assert char_value_fractional(4096.5, 0.0).value == 4096.5 ** 2
+    assert math.isfinite(char_value(2047, Branch.CE, 0.1).value)

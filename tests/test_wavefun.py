@@ -50,14 +50,26 @@ def test_density_peaks_at_a_sqrt_2alpha():
 def test_node_counts():
     for n_r in range(5):
         assert count_radial_nodes(_spec(n_r=n_r)) == n_r
+    for m in (0, 10, 40, 100):
+        for n_r in range(0, 41, 5):
+            assert count_radial_nodes(_spec(n_r=n_r, m=m, D=10.0)) == n_r
 
 
 def test_quadrature_confirms_closed_norm():
-    for n_r in (0, 2, 20):
+    for n_r in (0, 2, 20, 30, 60):
         for m, parity in ((0, Branch.CE), (2, Branch.SE)):
             spec = _spec(n_r=n_r, m=m, parity=parity, D=8.0)
             assert (spec.N / normalize_numeric(spec)) ** 2 == pytest.approx(
                 1.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("mat", ["GaAs", "CdSe"])
+def test_quadrature_norm_on_state_grid(mat):
+    for m in (0, 1, 3, 10, 30, 100):
+        for D in (0.0, 10.0):
+            for n_r in range(31):
+                spec = _spec(n_r=n_r, m=m, D=D, mat=get_material(mat))
+                assert abs((spec.N / normalize_numeric(spec)) ** 2 - 1.0) <= 1e-12
 
 
 def test_large_m_closed_norm_and_nodes():
@@ -88,8 +100,10 @@ def test_psi_is_single_valued_and_flux_modulated():
 
 def test_psi_rejects_negative_radius():
     spec = _spec()
-    with pytest.raises(ParameterError):
-        psi(spec, -0.5, 0.0)
+    for r, theta in ((-0.5, 0.0), (math.nan, 0.3), (math.inf, 0.3), (spec.a, math.nan),
+                     (np.array([0.0, math.nan]), 0.3)):
+        with pytest.raises(ParameterError):
+            psi(spec, r, theta)
 
 
 def test_radial_profile_grid_validation():
