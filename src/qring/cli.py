@@ -20,7 +20,7 @@ from . import oracle, spectrum, wavefun
 from .errors import DomainError, NumericsError, QringError, UsageError
 from .mathieu import Branch, char_value, char_value_series, series_p8_estimate
 from .params import builtin_materials, get_material, parse_config
-from .spectrum import QuantumState, SweepConfig, qr_energy, sweep, transition
+from .spectrum import QuantumState, SweepConfig, qr_energies, sweep, transition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,10 +270,10 @@ def _cmd_transitions(args):
                 continue
             hi = QuantumState(args.nr, args.m_hi, parity, args.delta)
             lo = QuantumState(args.nr, args.m_lo, parity, args.delta)
-            for d in d_values:
-                de_w, de_n, shift = transition(hi, lo, mat, d)
+            de_w, de_n, shift = transition(hi, lo, mat, np.array(d_values))
+            for d, w, s in zip(d_values, de_w.tolist(), (100.0 * shift).tolist()):
                 out.append([mat.name, d, args.nr, args.m_hi, args.m_lo,
-                            parity.value, de_w, de_n, 100.0 * shift])
+                            parity.value, w, de_n, s])
     _emit(args, out, ["material", "D", "nr", "m_hi", "m_lo", "parity",
                       "dE_withD", "dE_noD", "rel_shift_pct"])
     return 0
@@ -286,11 +286,14 @@ def _cmd_ab_sweep(args):
     out = []
     for mat in sorted(mats, key=lambda m: m.name):
         for base in states:
-            # ab_correction(base, mat, d, D) without re-solving the delta = 0 state
-            off = qr_energy(base, mat, args.D).lambda_eff
-            for d in deltas:
-                on = qr_energy(replace(base, delta=d), mat, args.D).lambda_eff
-                out.append([mat.name, args.D, base.m, base.parity.value, d, on, on - off])
+            # ab_correction(base, mat, d, D) over the flux axis; row 0 is delta = 0
+            cols, _, errors = qr_energies(base, mat, args.D, [0.0, *deltas])
+            for err in errors:
+                if err is not None:
+                    raise err
+            lam = cols["lambda_eff"]
+            for d, on, shift in zip(deltas, lam[1:].tolist(), (lam[1:] - lam[0]).tolist()):
+                out.append([mat.name, args.D, base.m, base.parity.value, d, on, shift])
     _emit(args, out, ["material", "D", "m", "parity", "delta",
                       "lambda_eff", "ab_correction"])
     return 0

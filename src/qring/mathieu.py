@@ -2,15 +2,31 @@
 
 The angular equation Phi'' + (c - 2 q cos 2z) Phi = 0 with pi-periodic
 solutions leads, in the Fourier basis, to symmetric tridiagonal eigenvalue
-problems. Cosine-elliptic solutions of even order couple cos(2kz) modes,
-sine-elliptic ones couple sin(2kz); a real Floquet exponent nu couples the
-shifted lattice exp(i(nu+2k)z), k in Z. All three are solved by one routine:
-truncated tridiagonal diagonalization with one long-double Rayleigh-quotient
-refinement step. The truncation K starts at twice the first power of two
->= 32 above the order m (nu/2 on the Floquet lattice) and doubles until
-|q| * tail <= 1e-12, a bound on the distance to an exact eigenvalue, and
-tail <= 1e-14 of the largest Fourier coefficient (see _solve). K is capped
-at 4096, so orders m (nu/2) of 2048 and above are a ParameterError.
+problems on a lattice of sites. Cosine-elliptic solutions of even order 2m
+couple cos(2kz), k >= 0; sine-elliptic ones couple sin(2kz), k >= 1; a real
+Floquet exponent nu couples the shifted lattice exp(i(nu+2k)z), k in Z.
+
+All three are solved by one kernel over arrays of order and q. It cuts a
+window of 2h+1 sites around the site of the wanted mode (clipped at the
+bottom of the cosine and sine lattices), stacks the windows of all rows into
+one numpy eigh call, takes the eigenvector that continues the q = 0 mode, and
+refines its value by one long-double Rayleigh quotient. A row is accepted
+when
+
+* |q| * tail <= 1e-12, with tail the norm of the components at the window
+  ends that truncate the lattice: the zero-padded vector then has that
+  residual in the untruncated operator, so an exact eigenvalue lies that
+  close (Parlett, The Symmetric Eigenvalue Problem, 1998, 4.5), and
+  tail <= 1e-14 of the largest component;
+* a Sturm count of the lattice from its bottom (k = 0, or on the Floquet
+  lattice the mirror of the window top) to the window top confirms that
+  the value is the wanted one in sorted order (Barth, Martin & Wilkinson,
+  Numer. Math. 9, 1967); the count takes no eigensolve.
+
+Rows that fail are solved again, alone, on a window of twice the half-width,
+up to a cap. The window does not grow with the order, so any order up to
+2**16 solves at the same cost; higher orders are refused, as the Sturm
+count runs over every lower site.
 """
 from __future__ import annotations
 
@@ -20,12 +36,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, ParameterError
 
-_TRUNC_START = 64
-_TRUNC_CAP = 4096
+_HALF_START = 5  # first window half-width, in lattice sites
+_HALF_CAP = 640  # largest half-width tried before a ConvergenceError
+_ORDER_CAP = 1 << 16  # largest m (nu/2): the Sturm count runs over every lower site
+_STACK_ENTRIES = 1 << 20  # array entries per stack of rows solved together (8 MB)
 _TRUNC_TOL = 1e-12  # residual bound |q| * tail on the characteristic value
 _TAIL_TOL = 1e-14  # outermost coefficient relative to the largest
 _Q_BOUND = 1e4  # truncation-validity bound for |q|
@@ -58,6 +75,8 @@ class FourierCoeffs:
     SE: coeffs[k] multiplies sin(2(k+1)z), k >= 0.
     Normalized so 2*A0^2 + sum A^2 = 1 (CE) / sum B^2 = 1 (SE), which makes
     the angular function square-integrate to pi over a full period.
+    Coefficients below the solved window are zero; truncation is the number
+    of coefficients kept.
     """
 
     branch: Branch
@@ -67,93 +86,211 @@ class FourierCoeffs:
     truncation: int
 
 
-def _tridiag(branch: Optional[Branch], order, K: int, q: float):
-    """Truncated (d, e) and the sorted index of the wanted eigenvalue.
+def _diagonal(branch: Optional[Branch], order, k):
+    """Lattice diagonal at integer sites k: (2k)^2, (2(k+1))^2 or (nu+2k)^2."""
+    if branch is None:
+        return (order + 2.0 * k) ** 2
+    return (2.0 * (k + 1 if branch is Branch.SE else k)) ** 2
 
-    CE couples cos(2kz), k = 0..K; SE couples sin(2kz), k = 1..K; branch
-    None is the Floquet lattice exp(i(nu+2k)z), k = -K..K, with order nu.
-    """
+
+def _coupling(branch: Optional[Branch], q, k):
+    """Off-diagonal between sites k and k+1."""
     if branch is Branch.CE:
-        d = (2.0 * np.arange(K + 1)) ** 2
-        e = np.full(K, q)
-        e[0] = math.sqrt(2.0) * q  # couples the constant mode to cos 2z
-        return d, e, order
-    if branch is Branch.SE:
-        return (2.0 * np.arange(1, K + 1)) ** 2, np.full(K - 1, q), order - 1
-    k = np.arange(-K, K + 1)
-    d = (order + 2.0 * k) ** 2
-    # sorted position of the nu^2-continued eigenvalue: count lattice points
-    # (nu+2k)^2 strictly below nu^2. Strict inequality resolves the odd-integer
-    # tie to the lower member of the near-degenerate pair.
-    return d, np.full(2 * K, q), int(np.sum((d < order * order) & (k != 0)))
+        # couples the constant mode to cos 2z
+        return np.where(k == 0, math.sqrt(2.0) * q, q)
+    return q
 
 
-def _refined_eig(d, e, idx):
-    """Eigenpair at sorted index idx, with one long-double Rayleigh step.
+def _sturm_count(branch, order, q, bottom, top, x):
+    """Eigenvalues below x (shape (2, rows)) of the lattice on sites bottom..top.
 
-    LAPACK gives the value to ~1e-12 absolute here; re-evaluating the
-    Rayleigh quotient of the converged vector in extended precision cuts
-    that to ~1e-14, which the series comparisons need.
+    Counts the negative pivots of the LDL^T factorization of T - x, taken
+    from the top site down; a pivot below pivmin is replaced by -pivmin, as
+    LAPACK's dstebz does, so that no division overflows. Rows with a shorter
+    segment are padded with uncoupled sites of pivot 1. The sites are taken
+    in blocks that keep the arrays within the stack budget.
     """
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(idx, idx))
-    vec = v[:, 0]
-    vl = vec.astype(np.longdouble)
-    dl = d.astype(np.longdouble)
-    el = e.astype(np.longdouble)
+    pivmin = np.finfo(float).tiny * np.maximum(q * q, 1.0)
+    count = np.zeros(x.shape, dtype=int)
+    pivot = np.ones(x.shape)
+    length = int(np.max(top - bottom)) + 1
+    block = max(1, _STACK_ENTRIES // (3 * q.size))
+    for start in range(0, length, block):
+        k = top[:, None] - np.arange(start, min(length, start + block))
+        inside = k >= bottom[:, None]
+        dx = np.where(inside, _diagonal(branch, order[:, None], k) - x[..., None], 1.0)
+        e2 = np.where(inside, _coupling(branch, q[:, None], k) ** 2, 0.0)  # to the site above
+        for t in range(k.shape[1]):
+            pivot = dx[..., t] - e2[:, t] / pivot if start + t else dx[..., 0]
+            pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
+            count += pivot < 0.0
+    return count
+
+
+def _window(branch, order, q, h):
+    """Solve one stack of rows on windows of half-width h.
+
+    Returns (value, lo, vec, tail_ok, label_ok): the refined value, first
+    site and unit eigenvector of each row's window, and the two acceptance
+    tests of the module docstring.
+    """
+    n = 2 * h + 1
+    if branch is None:
+        label = np.ceil(order).astype(int) - 1  # lattice points |nu+2k| < nu, k != 0
+        lo = np.full(q.size, -h)
+        bottom = -np.floor(order + h).astype(int)  # |nu+2k| <= nu+2h from here up
+    else:
+        label = order - (branch is Branch.SE)
+        lo = np.maximum(label - h, 0)
+        bottom = np.zeros(q.size, dtype=int)
+    k = lo[:, None] + np.arange(n)
+    d = _diagonal(branch, order[:, None], k)
+    e = _coupling(branch, q[:, None], k[:, :-1])
+    mat = np.zeros((q.size, n * n))
+    mat[:, :: n + 1] = d
+    mat[:, n:: n + 1] = e  # the subdiagonal: eigh reads the lower triangle
+    _, v = np.linalg.eigh(mat.reshape(q.size, n, n))
+    # sorted position of the q = 0 mode in the window; on the Floquet lattice
+    # strict inequality resolves the odd-integer tie to the lower member
+    pos = label - lo if branch is not None else (d < (order * order)[:, None]).sum(axis=1)
+    vec = v[np.arange(q.size), :, pos]
+    vl, dl, el = (a.astype(np.longdouble) for a in (vec, d, e))
     tv = dl * vl
-    tv[:-1] += el * vl[1:]
-    tv[1:] += el * vl[:-1]
-    value = float(np.dot(vl, tv) / np.dot(vl, vl))
-    return value, vec
+    tv[:, :-1] += el * vl[:, 1:]
+    tv[:, 1:] += el * vl[:, :-1]
+    value = ((vl * tv).sum(axis=1) / (vl * vl).sum(axis=1)).astype(float)
+
+    # only the cosine and sine lattices end: at their bottom nothing is cut off
+    cut_below = lo > 0 if branch is not None else True
+    tail = np.where(cut_below, np.hypot(vec[:, 0], vec[:, -1]), np.abs(vec[:, -1]))
+    tail_ok = (np.abs(q) * tail <= _TRUNC_TOL) & (tail <= _TAIL_TOL * np.abs(vec).max(axis=1))
+    # a window that starts at the lattice bottom has the label as its sorted
+    # position; others count from the bottom. An eigenvalue lies within the
+    # residual bound of value; the margin adds the pivots' backward error.
+    label_ok = np.ones(q.size, dtype=bool)
+    r = (tail_ok & (lo > bottom)).nonzero()[0]
+    if r.size:
+        margin = _TRUNC_TOL + 64.0 * np.finfo(float).eps * (d[r, -1] + 2.0 * np.abs(q[r]))
+        below, upto = _sturm_count(branch, order[r], q[r], bottom[r], lo[r] + n - 1,
+                                   value[r] + np.array([[-1.0], [1.0]]) * margin)
+        label_ok[r] = (below <= label[r]) & (label[r] < upto)
+    return value, lo, vec, tail_ok, label_ok
 
 
-def _check_q(q: float):
-    if not math.isfinite(q):
-        raise ParameterError("q must be finite")
-    if abs(q) > _Q_BOUND:
-        raise ParameterError(f"|q| = {abs(q)} exceeds truncation-validity bound {_Q_BOUND}")
+def _solve(branch: Optional[Branch], order, q, vectors=False):
+    """Wanted eigenpairs over 1-d arrays of order and q (q != 0), one stacked
+    eigh per window size; see the module docstring.
 
-
-def _solve(branch: Optional[Branch], order, q: float):
-    """(value, unit eigenvector, K) of the wanted eigenvalue, one solve per K.
-
-    tail is the outermost coefficient, on the Floquet lattice the bottom one
-    and every top one with |nu+2k| >= 2K - nu, its mirror, so that the states
-    near -nu below the wanted index fit too. The zero-padded vector then has
-    residual <= |q| * tail in the untruncated operator: an exact eigenvalue
-    lies that close (Parlett, The Symmetric Eigenvalue Problem, 1998, 4.5).
+    order is the integer m for CE/SE and nu for the Floquet lattice. Returns
+    (values, errors, windows): errors[i] is a ConvergenceError for a row that
+    fails at the cap, else None; windows[i] is (first site, unit vector) of
+    row i when vectors is true.
     """
-    m = order if branch is not None else order / 2.0
-    K = max(_TRUNC_START, 2 << int(m).bit_length())  # twice the smallest power of two > m
-    if K > _TRUNC_CAP:
-        raise ParameterError(f"order {m} (m, or nu/2 at fractional order) is above the "
-                             f"largest solvable order {_TRUNC_CAP // 2 - 1}")
-    value = prev = None
-    while K <= _TRUNC_CAP:
-        prev, (value, vec) = value, _refined_eig(*_tridiag(branch, order, K, q))
-        tail = (abs(vec[-1]) if branch is not None
-                else math.hypot(vec[0], np.max(np.abs(vec[2 * K - int(order):]))))
-        if abs(q) * tail <= _TRUNC_TOL and tail <= _TAIL_TOL * np.max(np.abs(vec)):
-            return value, vec, K
-        K *= 2
-    raise ConvergenceError(
-        f"residual bound |q| * tail above {_TRUNC_TOL} at truncation {_TRUNC_CAP}",
-        last=value,
-        previous=prev,
-    )
+    values = np.full(q.size, np.nan)
+    previous = np.full(q.size, np.nan)  # each row's value on its last window but one
+    errors = [None] * q.size
+    windows = [None] * q.size
+    todo = np.arange(q.size)
+    h = _HALF_START
+    while todo.size:
+        if h > _HALF_CAP:
+            for i in todo:
+                errors[i] = ConvergenceError(
+                    f"residual bound |q| * tail above {_TRUNC_TOL} or label unconfirmed "
+                    f"at window {h + 1} sites",
+                    last=float(values[i]),
+                    previous=float(previous[i]),
+                )
+                values[i] = np.nan
+            break
+        failed = []
+        step = max(1, _STACK_ENTRIES // (2 * h + 1) ** 2)
+        for start in range(0, todo.size, step):
+            rows = todo[start:start + step]
+            value, lo, vec, tail_ok, label_ok = _window(branch, order[rows], q[rows], h)
+            previous[rows] = values[rows]
+            values[rows] = value
+            ok = tail_ok & label_ok
+            failed.append(rows[~ok])
+            if vectors:
+                for j in ok.nonzero()[0]:
+                    windows[rows[j]] = (int(lo[j]), vec[j])
+        todo = np.concatenate(failed)
+        h *= 2
+    return values, errors, windows
+
+
+def _domain_error(branch: Optional[Branch], order, q: float):
+    """The ParameterError of one row's (order, q), or None."""
+    if branch is None:
+        if not math.isfinite(order) or order <= 0:
+            return ParameterError(f"fractional order must be positive and finite, got {order}")
+        if order == 2.0 * round(order / 2.0):
+            return ParameterError(f"nu = {order} is an even integer; use char_value")
+    if not math.isfinite(q):
+        return ParameterError("q must be finite")
+    if abs(q) > _Q_BOUND:
+        return ParameterError(f"|q| = {abs(q)} exceeds truncation-validity bound {_Q_BOUND}")
+    half = order / 2.0 if branch is None else order
+    if half > _ORDER_CAP:
+        return ParameterError(f"order {half} (m, or nu/2 at fractional order) is above the "
+                              f"largest solvable order {_ORDER_CAP}")
+    return None
+
+
+def char_values(branch: Optional[Branch], order, q, vectors=False):
+    """Characteristic values over arrays of order and q, broadcast together.
+
+    branch CE/SE takes integer orders m >= 0 (m >= 1 for SE), whose value
+    continues (2m)^2 from q = 0; branch None takes fractional orders nu and
+    continues nu^2 along the Floquet lattice. Returns (values, errors): a row
+    whose order or q is out of domain, or whose solve fails, has value nan
+    and its QringError in errors; every other entry of errors is None. With
+    vectors, also returns each row's (first site, unit vector) window, None
+    where q = 0 or the row failed.
+    """
+    order, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(np.asarray(q, dtype=float)))
+    half = order / 2.0 if branch is None else order
+    suspect = ~(np.isfinite(q) & (np.abs(q) <= _Q_BOUND) & (half <= _ORDER_CAP))
+    if branch is None:
+        suspect |= ~(order > 0.0) | (order == 2.0 * np.rint(order / 2.0))
+    errors = [None] * q.size
+    for i in suspect.nonzero()[0]:
+        errors[i] = _domain_error(branch, order[i].item(), q[i].item())
+    values = np.full(q.size, np.nan)
+    windows = [None] * q.size
+    live = np.array([err is None for err in errors], dtype=bool)
+    still = live & (q == 0.0)
+    values[still] = (order[still] if branch is None else 2.0 * order[still]) ** 2
+    solve = (live & (q != 0.0)).nonzero()[0]
+    if solve.size:
+        orders = order[solve] if branch is None else order[solve].astype(int)
+        solved, failures, found = _solve(branch, orders, q[solve], vectors)
+        values[solve] = solved
+        for i, err, win in zip(solve, failures, found):
+            errors[i], windows[i] = err, win
+    return (values, errors, windows) if vectors else (values, errors)
+
+
+def _check_m(m, branch: Branch) -> int:
+    if m < 0 or int(m) != m:
+        raise ParameterError(f"m must be a non-negative integer, got {m}")
+    if branch is Branch.SE and m == 0:
+        raise ParameterError("SE requires m >= 1 (no sine-elliptic order-0 state)")
+    return int(m)
+
+
+def _first(values, errors):
+    """The single value of a length-one result, raising its error."""
+    if errors[0] is not None:
+        raise errors[0]
+    return float(values[0])
 
 
 def char_value(m: int, branch: Branch, q: float) -> MathieuChar:
     """Characteristic value of integer even order 2m (a-type for CE, b-type for SE)."""
-    if m < 0 or int(m) != m:
-        raise ParameterError(f"m must be a non-negative integer, got {m}")
-    m = int(m)
-    if branch is Branch.SE and m == 0:
-        raise ParameterError("SE requires m >= 1 (no sine-elliptic order-0 state)")
-    _check_q(q)
-    if q == 0.0:
-        return MathieuChar(2.0 * m, 0.0, branch, float((2 * m) ** 2))
-    return MathieuChar(2.0 * m, q, branch, _solve(branch, m, q)[0])
+    m = _check_m(m, branch)
+    return MathieuChar(2.0 * m, q, branch, _first(*char_values(branch, m, q)))
 
 
 def char_value_fractional(nu: float, q: float) -> MathieuChar:
@@ -164,14 +301,7 @@ def char_value_fractional(nu: float, q: float) -> MathieuChar:
     meets the CE value, from below the SE value; route exact even integers
     through char_value instead.
     """
-    if not math.isfinite(nu) or nu <= 0:
-        raise ParameterError(f"fractional order must be positive and finite, got {nu}")
-    if nu == 2.0 * round(nu / 2.0):
-        raise ParameterError(f"nu = {nu} is an even integer; use char_value")
-    _check_q(q)
-    if q == 0.0:
-        return MathieuChar(nu, 0.0, None, nu * nu)
-    return MathieuChar(nu, q, None, _solve(None, nu, q)[0])
+    return MathieuChar(nu, q, None, _first(*char_values(None, nu, q)))
 
 
 # --- small-q polynomial form, valid for m > 3 ---
@@ -262,35 +392,26 @@ def series_p8_estimate(m: int, p: float) -> float:
 def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
     """Fourier coefficients of the order-2m angular eigenfunction.
 
-    Sign fixed so the largest-magnitude coefficient is positive; at the
-    returned truncation the outermost component of the unit eigenvector is
-    <= 1e-14 of its largest.
+    Sign fixed so the largest-magnitude coefficient is positive; the window's
+    outermost components are <= 1e-14 of the largest, and the coefficients
+    below the window are zero.
     """
-    if m < 0 or int(m) != m:
-        raise ParameterError(f"m must be a non-negative integer, got {m}")
-    m = int(m)
-    if branch is Branch.SE and m == 0:
-        raise ParameterError("SE requires m >= 1")
-    _check_q(q)
-
+    m = _check_m(m, branch)
+    values, errors, windows = char_values(branch, m, q, vectors=True)
+    _first(values, errors)
     if q == 0.0:
-        if branch is Branch.CE:
-            coeffs = np.zeros(m + 1)
-            coeffs[m] = 1.0 / math.sqrt(2.0) if m == 0 else 1.0
-        else:
-            coeffs = np.zeros(m)
-            coeffs[m - 1] = 1.0
-        return FourierCoeffs(branch, m, 0.0, coeffs, len(coeffs))
-
-    _, vec, K = _solve(branch, m, q)
-    # eigenvector is unit-norm; the constant CE mode carries sqrt(2) in the
+        lo, vec = m - (branch is Branch.SE), np.ones(1)
+    else:
+        lo, vec = windows[0]
+    coeffs = np.zeros(lo + vec.size)
+    coeffs[lo:] = vec
+    # the eigenvector is unit-norm; the constant CE mode carries sqrt(2) in the
     # matrix, so dividing it back restores 2*A0^2 + sum A^2 = 1
-    coeffs = vec.copy()
     if branch is Branch.CE:
         coeffs[0] /= math.sqrt(2.0)
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
-    return FourierCoeffs(branch, m, q, coeffs, K)
+    return FourierCoeffs(branch, m, q, coeffs, coeffs.size)
 
 
 def eval_angular(theta, coeffs: FourierCoeffs, delta: float = 0.0):

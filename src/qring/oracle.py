@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericsError, ParameterError, SupercriticalError
 from .params import SystemParams
@@ -79,6 +78,8 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
     touches the singular point. Three grid levels, observed-order
     extrapolation per eigenvalue.
     """
+    from scipy.linalg import eigh_tridiagonal  # scipy is needed only by the oracles
+
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     beta = params.B + params.delta * params.delta / (2.0 * params.mu)

@@ -5,6 +5,10 @@ Aharonov-Bohm flux ratio delta. Separation in polar coordinates gives an
 angular Mathieu problem (handled in qring.mathieu) and a radial
 pseudoharmonic problem solved in closed form here. Two independent
 algebraic routes to the energy are evaluated and required to agree.
+
+The chain runs over arrays of rows (qr_energies: one state over a D or
+delta axis), with one Mathieu solve per array; a row that fails keeps its
+own error. The scalar functions are the length-one case.
 """
 from __future__ import annotations
 
@@ -12,8 +16,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from . import mathieu
-from .errors import EvaluationError, ParameterError, QringError, SupercriticalError
+from .errors import EvaluationError, ParameterError, SupercriticalError
 from .mathieu import Branch
 from .params import MaterialSpec, SystemParams, ev_to_hartree, from_material, hartree_to_ev
 
@@ -59,11 +65,109 @@ class SpectrumRow:
     error: Optional[str] = None
 
 
+# the numeric SpectrumRow fields, in the order qr_energies returns them
+_COLUMNS = ("q_mathieu", "char_value", "E_theta", "eta", "alpha", "lambda_eff", "E",
+            "correction", "e_hw0", "e_ev")
+
+
 def _check_delta(state: QuantumState, params: SystemParams):
     if state.delta != params.delta:
         raise ParameterError(
             f"state.delta = {state.delta} disagrees with params.delta = {params.delta}"
         )
+
+
+def _fail(errors, mask, make):
+    """Give each row of mask that has no error yet the error make(i)."""
+    for i in mask.nonzero()[0]:
+        if errors[i] is None:
+            errors[i] = make(i)
+
+
+def _live(errors):
+    return np.array([err is None for err in errors], dtype=bool)
+
+
+def _angular(state: QuantumState, q, delta, errors):
+    """E_theta = delta^2 - c/4, c and branch notes over arrays q and delta.
+
+    Rows whose errors entry is set are skipped; rows that fail here get one.
+    """
+    with np.errstate(over="ignore"):  # such a row fails the order cap below
+        nu = 2.0 * (state.m + delta)
+    # route on nu, not delta: float summation can land m + delta on an exact
+    # integer even when delta alone is a hair off one
+    m_eff = np.rint(nu / 2.0)
+    integer = nu == 2.0 * m_eff
+    low = 1 if state.parity is Branch.SE else 0
+    _fail(errors, integer & (m_eff < low), lambda i: ParameterError(
+        f"shifted order {m_eff[i]:.0f} out of range for {state.parity.value}"))
+    c = np.full(nu.shape, np.nan)
+    notes = ["fractional(merged)"] * nu.size
+    live = _live(errors)
+    for rows, branch, order in ((integer & live, state.parity, m_eff),
+                                (~integer & live, None, nu)):
+        rows = rows.nonzero()[0]
+        if rows.size:
+            c[rows], errs = mathieu.char_values(branch, order[rows], q[rows])
+            for i, err in zip(rows, errs):
+                errors[i] = err
+    letter = "a" if state.parity is Branch.CE else "b"
+    for i in (integer & _live(errors)).nonzero()[0]:
+        notes[i] = f"integer({letter}_{2 * int(m_eff[i])})"
+    with np.errstate(over="ignore"):
+        return delta * delta - c / 4.0, c, notes
+
+
+def _radial(e_theta, params: SystemParams, delta, errors):
+    """(eta, alpha) over arrays; supercritical rows get an error and nan."""
+    with np.errstate(over="ignore"):  # a flux beyond the order cap has failed already
+        beta = params.B + delta * delta / (2.0 * params.mu)
+    eta = e_theta - 2.0 * params.mu * beta + 0.25
+    disc = 1.0 - 4.0 * eta
+    _fail(errors, disc < 0.0, lambda i: SupercriticalError(
+        f"1 - 4 eta = {float(disc[i])} < 0: inverse-square collapse, no regular state"))
+    return eta, (1.0 + np.sqrt(np.where(disc >= 0.0, disc, np.nan))) / 4.0
+
+
+def _chain(state: QuantumState, params: SystemParams, q, delta, errors):
+    """(columns, notes) of energy() over arrays q and delta.
+
+    params supplies A, B, C and mu. A row that fails gets its error, and nan
+    in every column.
+    """
+    e_theta, c, notes = _angular(state, q, delta, errors)
+    eta, alpha = _radial(e_theta, params, delta, errors)
+
+    root_arg = c / 4.0 + 2.0 * params.mu * params.B
+    _fail(errors, root_arg < 0.0,
+          lambda i: SupercriticalError(f"root term argument {float(root_arg[i])} < 0"))
+    lam_eff = np.sqrt(np.where(root_arg >= 0.0, root_arg, np.nan))
+    omega_like = math.sqrt(2.0 * params.A / params.mu)
+    E_closed = omega_like * (2 * state.n_r + 1 + lam_eff) + params.C
+
+    a2 = 1.0 / math.sqrt(2.0 * params.mu * params.A)
+    eps = (4 * state.n_r + 4.0 * alpha + 1.0) / a2
+    E_chain = eps / (2.0 * params.mu) + params.C
+
+    scale = np.maximum(np.maximum(np.abs(E_closed), np.abs(E_chain)), omega_like)
+
+    def disagree(i):
+        closed, chain = float(E_closed[i]), float(E_chain[i])
+        return EvaluationError(f"energy routes disagree: closed {closed!r} vs chain {chain!r}",
+                               term_trace=[("closed", closed), ("chain", chain)])
+
+    _fail(errors, np.abs(E_closed - E_chain) > 1e-12 * scale, disagree)
+    lam0 = math.sqrt(2.0 * params.mu * params.B + state.m * state.m)
+    failed = ~_live(errors)
+    cols = dict(q_mathieu=q, char_value=c, E_theta=e_theta, eta=eta, alpha=alpha,
+                lambda_eff=lam_eff, E=E_closed, correction=lam_eff - lam0)
+    return {k: np.where(failed, np.nan, v) for k, v in cols.items()}, notes
+
+
+def _first(errors):
+    if errors[0] is not None:
+        raise errors[0]
 
 
 def angular_eigenvalue(state: QuantumState, params: SystemParams):
@@ -74,24 +178,11 @@ def angular_eigenvalue(state: QuantumState, params: SystemParams):
     parity label; non-integer flux uses the single merged fractional family.
     """
     _check_delta(state, params)
-    delta = params.delta
     q = 4.0 * params.mu * params.D_theta
-    nu = 2.0 * (state.m + delta)
-    # route on nu, not delta: float summation can land m + delta on an exact
-    # integer even when delta alone is a hair off one
-    if nu == 2.0 * round(nu / 2.0):
-        m_eff = int(round(nu / 2.0))
-        if m_eff < 0 or (state.parity is Branch.SE and m_eff < 1):
-            raise ParameterError(
-                f"shifted order {m_eff} out of range for {state.parity.value}"
-            )
-        mc = mathieu.char_value(m_eff, state.parity, q)
-        note = f"integer({'a' if state.parity is Branch.CE else 'b'}_{2 * m_eff})"
-    else:
-        mc = mathieu.char_value_fractional(nu, q)
-        note = "fractional(merged)"
-    e_theta = delta * delta - mc.value / 4.0
-    return e_theta, mc.value, q, note
+    errors = [None]
+    e_theta, c, notes = _angular(state, np.array([q]), np.array([params.delta]), errors)
+    _first(errors)
+    return float(e_theta[0]), float(c[0]), q, notes[0]
 
 
 def radial_exponent(E_theta: float, params: SystemParams):
@@ -100,14 +191,10 @@ def radial_exponent(E_theta: float, params: SystemParams):
     eta = E_theta - 2 mu beta + 1/4 with beta = B + delta^2/(2 mu);
     alpha = (1 + sqrt(1 - 4 eta)) / 4 is the regular-solution exponent.
     """
-    beta = params.B + params.delta * params.delta / (2.0 * params.mu)
-    eta = E_theta - 2.0 * params.mu * beta + 0.25
-    disc = 1.0 - 4.0 * eta
-    if disc < 0.0:
-        raise SupercriticalError(
-            f"1 - 4 eta = {disc} < 0: inverse-square collapse, no regular state"
-        )
-    return eta, (1.0 + math.sqrt(disc)) / 4.0
+    errors = [None]
+    eta, alpha = _radial(np.array([E_theta]), params, np.array([params.delta]), errors)
+    _first(errors)
+    return float(eta[0]), float(alpha[0])
 
 
 def energy(state: QuantumState, params: SystemParams) -> SpectrumRow:
@@ -117,40 +204,60 @@ def energy(state: QuantumState, params: SystemParams) -> SpectrumRow:
     against the quantization chain eps = (4 n_r + 4 alpha + 1)/a^2,
     E = eps/(2 mu) + C; the two routes must agree to 1e-12 relative.
     """
-    e_theta, c, q, note = angular_eigenvalue(state, params)
-    eta, alpha = radial_exponent(e_theta, params)
+    _check_delta(state, params)
+    errors = [None]
+    q = np.array([4.0 * params.mu * params.D_theta])
+    cols, notes = _chain(state, params, q, np.array([params.delta]), errors)
+    _first(errors)
+    return SpectrumRow(state=state, branch_note=notes[0],
+                       **{k: float(v[0]) for k, v in cols.items()})
 
-    root_arg = c / 4.0 + 2.0 * params.mu * params.B
-    if root_arg < 0.0:
-        raise SupercriticalError(f"root term argument {root_arg} < 0")
-    lam_eff = math.sqrt(root_arg)
-    omega_like = math.sqrt(2.0 * params.A / params.mu)
-    E_closed = omega_like * (2 * state.n_r + 1 + lam_eff) + params.C
 
-    a2 = 1.0 / math.sqrt(2.0 * params.mu * params.A)
-    eps = (4 * state.n_r + 4.0 * alpha + 1.0) / a2
-    E_chain = eps / (2.0 * params.mu) + params.C
+def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
+    """qr_energy over arrays of dipole moment D and flux delta, broadcast.
 
-    scale = max(abs(E_closed), abs(E_chain), omega_like)
-    if abs(E_closed - E_chain) > 1e-12 * scale:
-        raise EvaluationError(
-            f"energy routes disagree: closed {E_closed!r} vs chain {E_chain!r}",
-            term_trace=[("closed", E_closed), ("chain", E_chain)],
-        )
+    delta defaults to state.delta. Returns (cols, notes, errors): cols maps
+    the numeric SpectrumRow fields, e_hw0 and e_ev included, to arrays;
+    errors[i] is row i's QringError, or None, and its columns are nan.
+    """
+    D, delta = np.broadcast_arrays(np.atleast_1d(np.asarray(D, dtype=float)),
+                                   np.asarray(state.delta if delta is None else delta,
+                                              dtype=float))
+    errors = [None] * D.size
+    with np.errstate(over="ignore"):
+        d_theta = D / mat.eps_r
+    try:
+        params = from_material(mat, 0.0, 0.0)
+        invalid = ~((D >= 0.0) & np.isfinite(d_theta) & np.isfinite(delta))
+    except ParameterError:
+        params, invalid = None, np.ones(D.shape, dtype=bool)
+    for i in invalid.nonzero()[0]:  # the row's own error, as qr_energy raises it
+        try:
+            row_state = replace(state, delta=float(delta[i]))
+            from_material(mat, float(D[i]), row_state.delta)
+        except ParameterError as exc:
+            errors[i] = exc
+    if params is None:
+        return dict.fromkeys(_COLUMNS, np.full(D.shape, np.nan)), [""] * D.size, errors
+    cols, notes = _chain(state, params, 4.0 * params.mu * d_theta, delta, errors)
+    cols["e_hw0"] = cols["E"] / ev_to_hartree(mat.hbar_omega0)
+    cols["e_ev"] = hartree_to_ev(cols["E"])
+    return cols, notes, errors
 
-    lam0 = math.sqrt(2.0 * params.mu * params.B + state.m * state.m)
-    return SpectrumRow(
-        state=state,
-        q_mathieu=q,
-        char_value=c,
-        E_theta=e_theta,
-        eta=eta,
-        alpha=alpha,
-        lambda_eff=lam_eff,
-        E=E_closed,
-        correction=lam_eff - lam0,
-        branch_note=note,
-    )
+
+def _rows(state: QuantumState, mat: MaterialSpec, D):
+    """(SpectrumRows of state on mat over an array of D, errors)."""
+    cols, notes, errors = qr_energies(state, mat, D)
+    keys = list(cols)
+    rows = []
+    for d, note, err, *values in zip(np.atleast_1d(D).tolist(), notes, errors,
+                                     *(cols[k].tolist() for k in keys)):
+        if err is not None:
+            rows.append(SpectrumRow(state=state, material=mat.name, D=d, error=str(err)))
+        else:
+            rows.append(SpectrumRow(state=state, branch_note=note, material=mat.name, D=d,
+                                    **dict(zip(keys, values))))
+    return rows, errors
 
 
 def qr_energy(state: QuantumState, mat: MaterialSpec, D: float) -> SpectrumRow:
@@ -158,16 +265,9 @@ def qr_energy(state: QuantumState, mat: MaterialSpec, D: float) -> SpectrumRow:
 
     Adds energies in hbar*omega0 units and in eV to the row.
     """
-    params = from_material(mat, D, state.delta)
-    row = energy(state, params)
-    w0 = ev_to_hartree(mat.hbar_omega0)
-    return replace(
-        row,
-        material=mat.name,
-        D=D,
-        e_hw0=row.E / w0,
-        e_ev=hartree_to_ev(row.E),
-    )
+    rows, errors = _rows(state, mat, D)
+    _first(errors)
+    return rows[0]
 
 
 def correction(state: QuantumState, mat: MaterialSpec, D: float) -> float:
@@ -180,12 +280,13 @@ def correction(state: QuantumState, mat: MaterialSpec, D: float) -> float:
 
 
 def transition(
-    state_hi: QuantumState, state_lo: QuantumState, mat: MaterialSpec, D: float
+    state_hi: QuantumState, state_lo: QuantumState, mat: MaterialSpec, D
 ):
     """Transition energies with and without the dipole, and the relative shift.
 
     Returns (dE_withD, dE_noD, rel_shift) with energies in hbar*omega0
-    units. The two states must differ only in m.
+    units. The two states must differ only in m. D may be an array: dE_withD
+    and rel_shift are then arrays over it, and the D = 0 pair is solved once.
     """
     if state_hi.n_r != state_lo.n_r:
         raise ParameterError("transition requires equal n_r")
@@ -195,14 +296,20 @@ def transition(
         raise ParameterError("transition requires equal parity")
     if state_hi.m == state_lo.m:
         raise ParameterError("transition requires different m")
-    hi_d = qr_energy(state_hi, mat, D)
-    lo_d = qr_energy(state_lo, mat, D)
-    hi_0 = qr_energy(state_hi, mat, 0.0)
-    lo_0 = qr_energy(state_lo, mat, 0.0)
-    de_with = hi_d.e_hw0 - lo_d.e_hw0
-    de_no = hi_0.e_hw0 - lo_0.e_hw0
-    if de_no == 0.0:
-        raise ParameterError("degenerate reference transition (dE = 0 at D = 0)")
+    hi, _, hi_err = qr_energies(state_hi, mat, D)
+    lo, _, lo_err = qr_energies(state_lo, mat, D)
+    hi0, _, hi0_err = qr_energies(state_hi, mat, 0.0)
+    lo0, _, lo0_err = qr_energies(state_lo, mat, 0.0)
+    de_no = float(hi0["e_hw0"][0] - lo0["e_hw0"][0])
+    for errs in zip(hi_err, lo_err):  # raise what the first failing D would
+        for err in (*errs, *hi0_err, *lo0_err):
+            if err is not None:
+                raise err
+        if de_no == 0.0:
+            raise ParameterError("degenerate reference transition (dE = 0 at D = 0)")
+    de_with = hi["e_hw0"] - lo["e_hw0"]
+    if np.ndim(D) == 0:
+        de_with = float(de_with[0])
     return de_with, de_no, (de_with - de_no) / de_no
 
 
@@ -245,20 +352,9 @@ def sweep(config: SweepConfig) -> list:
     Rows come back in the deterministic order (material, parity, m, n_r,
     delta, D).
     """
-    tasks = [
-        (mat, state, d)
-        for mat in config.materials
-        for state in config.states
-        for d in config.d_values
-    ]
-
-    def run(task):
-        mat, state, d = task
-        try:
-            return qr_energy(state, mat, d)
-        except QringError as exc:
-            return SpectrumRow(state=state, material=mat.name, D=d, error=str(exc))
-
-    rows = [run(t) for t in tasks]
+    rows = []
+    for mat in config.materials:
+        for state in config.states:  # the D axis as one array
+            rows += _rows(state, mat, np.array(config.d_values, dtype=float))[0]
     rows.sort(key=_sort_key)
     return rows

@@ -11,7 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from qring import Branch, QuantumState, ab_correction, from_material, get_material, make_wave
+from qring import (Branch, QuantumState, ab_correction, char_value_series, from_material,
+                   get_material, make_wave, series_p8_estimate)
 from qring.cli import _floats_from_range, _fmt, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -110,6 +111,17 @@ def test_energies_above_order_32():
     assert err == ""
 
 
+def test_energies_past_order_2047_match_the_series():
+    # the window does not grow with the order; the small-p series never calls the solver
+    code, out, err = _run(["energies", "--m", "2048,5000", "--parity", "ce,se", "--D", "10"])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 4
+    for row in rows:
+        m, p, c = int(row[4]), float(row[6]), float(row[7])
+        assert abs(c - char_value_series(m, p)) <= series_p8_estimate(m, p) + 0.5e-11 * c
+
+
 def test_wavefunction_large_m():
     code, out, err = _run(["wavefunction", "--m", "100", "--nr", "2", "--D", "10"])
     assert code == 0
@@ -190,7 +202,8 @@ def test_closed_pipe_exits_quietly():
 
 
 def test_cli_import_skips_scipy_integrate():
-    probe = "import sys, qring.cli; print('scipy.integrate' in sys.modules)"
+    # no scipy module at all: only verify and the oracles import it, when called
+    probe = "import sys, qring.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     proc = _cli_process(["-c", probe], stdout=subprocess.PIPE)
     out, _ = proc.communicate(timeout=120)
     assert proc.returncode == 0
@@ -244,7 +257,12 @@ def test_domain_errors_exit_3():
     assert code == 3 and out == ""
     code, out, err = _run(["ab-sweep", "--delta-range", "1e6", "--D", "1"])
     assert code == 3 and out == ""
-    assert "largest solvable order 2047" in err
+    assert "largest solvable order 65536" in err
+    # a flux whose order overflows a double is refused the same way, not a traceback
+    code, out, err = _run(["ab-sweep", "--delta-range", "1e308", "--D", "0"])
+    assert code == 3 and out == "" and "largest solvable order 65536" in err
+    code, out, err = _run(["energies", "--delta=-1e308"])
+    assert code == 0 and out.splitlines()[1].endswith(",,,,,,") and "out of range" in err
 
 
 def test_config_file_merging(tmp_path):

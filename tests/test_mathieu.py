@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg import eigh_tridiagonal
 
 from qring import (
     Branch,
@@ -41,7 +42,7 @@ def test_continuity_at_small_q():
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 5.0, 25.0])
 def test_against_scipy(q):
-    # 33 and up start the truncation above 32, past the order itself
+    # 33 and up cut the window off the lattice bottom, so the Sturm count confirms them
     for m in (*range(6), 33, 40, 100):
         a = char_value(m, Branch.CE, q).value
         assert a == pytest.approx(float(special.mathieu_a(2 * m, q)), abs=1e-7)
@@ -210,22 +211,50 @@ def test_eval_angular_orthogonality():
             assert g == pytest.approx(expect, abs=1e-10)
 
 
+def _wide_value(branch, order, q, K):
+    """Reference value on the lattice cut at K sites from the wanted one.
+
+    An independent dense solve: scipy's tridiagonal eigensolver at the q = 0
+    sorted index, then one long-double Rayleigh quotient of its vector.
+    """
+    if branch is Branch.CE:
+        k = np.arange(order + K + 1)
+        d, e = (2.0 * k) ** 2, np.full(k.size - 1, q)
+        e[0] *= math.sqrt(2.0)
+        idx = order
+    elif branch is Branch.SE:
+        k = np.arange(1, order + K + 1)
+        d, e, idx = (2.0 * k) ** 2, np.full(k.size - 1, q), order - 1
+    else:
+        k = np.arange(-K - math.ceil(order), K + 1)
+        d, e = (order + 2.0 * k) ** 2, np.full(k.size - 1, q)
+        idx = int(np.sum((d < order * order) & (k != 0)))
+    _, v = eigh_tridiagonal(d, e, select="i", select_range=(idx, idx))
+    vl, dl, el = (a.astype(np.longdouble) for a in (v[:, 0], d, e))
+    tv = dl * vl
+    tv[:-1] += el * vl[1:]
+    tv[1:] += el * vl[:-1]
+    return float(np.dot(vl, tv) / np.dot(vl, vl))
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Counts the eigh_tridiagonal calls the Mathieu solver makes."""
+    """Shapes (stack, n, n) of the numpy.linalg.eigh calls the Mathieu kernel makes."""
     calls = []
-    real = mathieu.eigh_tridiagonal
+    real = np.linalg.eigh
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return real(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(mathieu, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
 
 
 @pytest.mark.parametrize("q", [0.1, 0.2118, 0.56])
 def test_one_eigensolve_per_value(eig_calls, q):
+    # a scalar solve stacks one matrix per call and solves each window once,
+    # doubling its half-width from 5 sites until the bound holds
     for m in range(4):
         solves = [lambda: char_value(m, Branch.CE, q),
                   lambda: fourier_coeffs(m, Branch.CE, q),
@@ -236,12 +265,36 @@ def test_one_eigensolve_per_value(eig_calls, q):
         for solve in solves:
             eig_calls.clear()
             solve()
-            assert len(eig_calls) == 1
+            assert eig_calls == [(1, 2 * w + 1, 2 * w + 1)
+                                 for w in 5 * 2 ** np.arange(len(eig_calls))]
+    eig_calls.clear()
+    for m in range(4):  # the first window already meets the bound
+        char_value(m, Branch.CE, q)
+    assert len(eig_calls) == 4
+
+
+def test_one_stacked_eigensolve_per_batch(eig_calls):
+    q = np.linspace(0.0, 0.56, 1001)  # the sweep grid's range of q
+    for m in range(4):
+        eig_calls.clear()
+        values, errors = mathieu.char_values(Branch.CE, m, q)
+        assert eig_calls == [(1000, 11, 11)]  # q = 0 is exact and takes no solve
+        assert errors == [None] * 1001 and values[0] == 4.0 * m * m
+        assert [char_value(m, Branch.CE, x).value for x in q[::100]] == list(values[::100])
+    # at larger q only the rows that miss the bound are solved again, wider
+    q = np.linspace(0.0, 3.0, 1001)
+    eig_calls.clear()
+    values, errors = mathieu.char_values(Branch.CE, 3, q)
+    assert eig_calls[0] == (1000, 11, 11) and len(eig_calls) == 2
+    assert 0 < eig_calls[1][0] < 1000 and eig_calls[1][1:] == (21, 21)
+    assert [char_value(3, Branch.CE, x).value for x in q[::100]] == list(values[::100])
 
 
 def test_large_q_doubles_the_truncation(eig_calls):
-    char_value(10, Branch.CE, 1e4)
-    assert eig_calls == [65, 129]  # K = 64 fails the residual bound, K = 128 meets it
+    value = char_value(10, Branch.CE, 1e4).value
+    # the window doubles until |q| * tail <= 1e-12
+    assert eig_calls == [(1, n, n) for n in (11, 21, 41, 81, 161)]
+    assert value == pytest.approx(float(special.mathieu_a(20, 1e4)), rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.2, 25.0, 1e4])
@@ -251,41 +304,102 @@ def test_returned_pair_meets_residual_bound(m, q):
     if m:
         cases.append((Branch.SE, m))
     for branch, order in cases:
-        value, vec, K = mathieu._solve(branch, order, q)
-        tail = abs(vec[-1]) if branch is not None else math.hypot(vec[0], vec[-1])
+        values, errors, windows = mathieu._solve(branch, np.array([order]), np.array([q]),
+                                                 vectors=True)
+        assert errors == [None]
+        lo, vec = windows[0]
+        at_bottom = branch is not None and lo == 0
+        tail = abs(vec[-1]) if at_bottom else math.hypot(vec[0], vec[-1])
         assert abs(q) * tail <= 1e-12
-        # an exact eigenvalue lies within |q| * tail: doubling K moves the
-        # value by no more than that plus rounding
-        wide = mathieu._refined_eig(*mathieu._tridiag(branch, order, 2 * K, q))[0]
-        assert abs(wide - value) <= 1e-12 + 8 * np.spacing(abs(value))
+        # an exact eigenvalue lies within |q| * tail: a lattice cut far
+        # beyond the window moves the value by no more than that plus rounding
+        wide = _wide_value(branch, order, q, 4 * vec.size)
+        assert abs(wide - values[0]) <= 1e-12 + 8 * np.spacing(abs(values[0]))
 
 
 @pytest.mark.parametrize("m,delta,q", [(31, 0.3, 1000.0), (63, 0.3, 3000.0),
                                        (127, 0.5, 1e4)])
 def test_fractional_index_survives_mirror_states(m, delta, q):
-    # at K = 2 << bit_length(m) the bottom end of the Floquet lattice sits a
-    # site or two past the mirror states near -nu; the wanted vector alone meets
-    # the residual bound there, but the sorted index would pick the next value up
+    # the mirror states near -nu sit below the wanted value; a window that cuts
+    # through them must not shift the label, which the Sturm count confirms
     nu = 2.0 * (m + delta)
-    wide = mathieu._refined_eig(*mathieu._tridiag(None, nu, 4096, q))[0]
+    wide = _wide_value(None, nu, q, 4096)
     assert char_value_fractional(nu, q).value == pytest.approx(wide, rel=1e-12)
 
 
+@pytest.mark.parametrize("branch,order,q,bottom,top", [
+    (Branch.CE, 5, 3.0, 0, 20), (Branch.SE, 5, -40.0, 0, 20), (None, 7.6, 2.0, -20, 8),
+    (None, 3.4, 0.5, -12, 6)])
+def test_sturm_count_matches_the_spectrum(branch, order, q, bottom, top):
+    k = np.arange(bottom, top + 1)
+    d = mathieu._diagonal(branch, order, k)
+    e = np.broadcast_to(mathieu._coupling(branch, q, k[:-1]), (k.size - 1,))
+    w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    x = np.concatenate([(w[:-1] + w[1:]) / 2.0, [w[0] - 1.0, w[-1] + 1.0]])
+    rows = np.ones(x.size // 2)
+    count = mathieu._sturm_count(branch, order * rows, q * rows, bottom * rows.astype(int),
+                                 top * rows.astype(int), x[: 2 * rows.size].reshape(2, -1))
+    assert list(count.ravel()) == [int(np.sum(w < v)) for v in x[: 2 * rows.size]]
+    # a row of a shorter segment counts only its own sites
+    short = mathieu._sturm_count(branch, np.array([order, order]), np.array([q, q]),
+                                 np.array([bottom, bottom + 3]), np.array([top, top]),
+                                 np.array([[w[5] + 1e-9] * 2, [w[-1] + 1.0] * 2]))
+    assert list(short[:, 0]) == [6, top - bottom + 1]
+    assert list(short[:, 1]) == [int(np.sum(np.linalg.eigvalsh(
+        np.diag(d[3:]) + np.diag(e[3:], 1) + np.diag(e[3:], -1)) < w[5] + 1e-9)), top - bottom - 2]
+
+
+def test_sturm_count_rejects_a_wrong_label(monkeypatch):
+    # hand the kernel the eigenvector one above the wanted one: its residual
+    # bound holds on wide windows, but the label count must refuse it on every
+    # window that does not reach the bottom of the lattice
+    real = np.linalg.eigh
+
+    def shifted(a, *args, **kwargs):
+        w, v = real(a, *args, **kwargs)
+        return w, np.roll(v, -1, axis=-1)
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    monkeypatch.setattr(mathieu, "_HALF_CAP", 64)
+    with pytest.raises(ConvergenceError):
+        char_value_fractional(2.0 * (40 + 0.3), 0.2)
+    with pytest.raises(ConvergenceError):
+        char_value(100, Branch.SE, 0.2)
+
+
 def test_truncation_cap_raises_with_last_value(monkeypatch):
-    monkeypatch.setattr(mathieu, "_TRUNC_CAP", 64)
+    monkeypatch.setattr(mathieu, "_HALF_CAP", 16)
     with pytest.raises(ConvergenceError) as info:
         char_value(10, Branch.CE, 1e4)
-    assert math.isfinite(info.value.last)
+    # the values at half-widths 10 and 5, the last two below the cap
+    assert math.isfinite(info.value.last) and math.isfinite(info.value.previous)
+    assert info.value.last != info.value.previous
 
 
 def test_orders_past_the_truncation_cap_are_parameter_errors():
-    # K would start above _TRUNC_CAP; the error names the largest solvable order
-    with pytest.raises(ParameterError, match="2047"):
-        char_value(2048, Branch.CE, 0.1)
-    with pytest.raises(ParameterError, match="2047"):
-        char_value_fractional(4096.5, 0.1)
+    # the Sturm count runs over every site below the window; the error names the limit
+    with pytest.raises(ParameterError, match="65536"):
+        char_value(65537, Branch.CE, 0.1)
+    with pytest.raises(ParameterError, match="65536"):
+        char_value_fractional(2 * 65536 + 0.5, 0.1)
     with pytest.raises(ParameterError):
-        fourier_coeffs(2048, Branch.SE, 0.1)
-    assert char_value(2048, Branch.CE, 0.0).value == 4096.0 ** 2
+        fourier_coeffs(65537, Branch.SE, 0.1)
+    with pytest.raises(ParameterError, match="65536"):
+        char_value(65537, Branch.CE, 0.0)
+    assert char_value(65536, Branch.CE, 0.0).value == 131072.0 ** 2
     assert char_value_fractional(4096.5, 0.0).value == 4096.5 ** 2
-    assert math.isfinite(char_value(2047, Branch.CE, 0.1).value)
+
+
+@pytest.mark.parametrize("m", [2048, 5000])
+def test_orders_past_2047_match_the_series(m):
+    for branch in (Branch.CE, Branch.SE):
+        for p in (0.1, 1.0, 10.0):
+            c = char_value(m, branch, p).value
+            assert abs(c - char_value_series(m, p)) <= series_p8_estimate(m, p)
+    fc = fourier_coeffs(m, Branch.SE, 1.0)
+    assert np.all(fc.coeffs[: m - 10] == 0.0) and fc.coeffs[m - 1] > 0.99
+    assert _ode_residual(fc, char_value(m, Branch.SE, 1.0).value, 1.0) < 1e-11
+    # far from any resonance lambda_nu = nu^2 + q^2 / (2 (nu^2 - 1)) + O(q^4 / nu^6)
+    nu = 2.0 * m + 0.5
+    assert char_value_fractional(nu, 10.0).value == pytest.approx(
+        nu * nu + 100.0 / (2.0 * (nu * nu - 1.0)), abs=4 * np.spacing(nu * nu))

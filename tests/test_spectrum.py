@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qring import (
     Branch,
     ParameterError,
+    QringError,
     QuantumState,
     SupercriticalError,
     SweepConfig,
@@ -183,3 +187,42 @@ def test_radial_exponent_harmonic_case():
     eta, alpha = radial_exponent(e_theta, params)
     # 1 - 4 eta = c + 8 mu B = 4 m^2 here
     assert alpha == pytest.approx((1 + 2.0) / 4.0, abs=1e-14)
+
+
+_STATE_LABELS = [(n_r, m, parity, delta) for n_r in (0, 2) for m in range(7)
+                 for parity in Branch for delta in (0.0, 0.25, 0.5, 1.0)
+                 if not (parity is Branch.SE and m == 0)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(mats=st.lists(st.sampled_from(["GaAs", "GaAlAs_x0.3", "CdSe"]), min_size=1,
+                     max_size=3, unique=True),
+       labels=st.lists(st.sampled_from(_STATE_LABELS), min_size=1, max_size=3),
+       d_values=st.lists(st.one_of(st.floats(0.0, 20.0), st.sampled_from([900.0, 5e5])),
+                         min_size=1, max_size=12))
+# 900 drives m = 0 supercritical; 5e5 puts |q| above the 1e4 bound on every material
+@example(mats=["GaAs"], labels=[(0, 0, Branch.CE, 0.0), (2, 3, Branch.SE, 0.25)],
+         d_values=[0.0, 900.0, 5e5, 3.0])
+def test_sweep_batch_matches_single_rows(mats, labels, d_values):
+    mats = tuple(get_material(name) for name in mats)
+    states = tuple(QuantumState(*label) for label in labels)
+    rows = sweep(SweepConfig(mats, states, tuple(d_values)))
+    tasks = sorted(((mat, state, d) for mat in mats for state in states for d in d_values),
+                   key=lambda t: (t[0].name, t[1].parity.value, t[1].m, t[1].n_r,
+                                  t[1].delta, t[2]))
+    assert len(rows) == len(tasks)
+    for row, (mat, state, d) in zip(rows, tasks):
+        assert (row.material, row.state, row.D) == (mat.name, state, d)
+        try:
+            single = qr_energy(state, mat, d)
+        except QringError as exc:
+            assert row.error == str(exc)
+            assert math.isnan(row.char_value) and math.isnan(row.E)
+            continue
+        assert row.error is None
+        assert abs(row.char_value - single.char_value) <= np.spacing(abs(single.char_value))
+        if row.char_value == single.char_value:
+            assert row == single  # every other field follows from char_value
+        else:
+            for field in ("E_theta", "eta", "alpha", "lambda_eff", "E", "e_hw0", "e_ev"):
+                assert getattr(row, field) == pytest.approx(getattr(single, field), rel=1e-14)
