@@ -24,9 +24,12 @@ when
   Numer. Math. 9, 1967); the count takes no eigensolve.
 
 Rows that fail are solved again, alone, on a window of twice the half-width,
-up to a cap. The window does not grow with the order, so any order up to
-2**16 solves at the same cost; higher orders are refused, as the Sturm
-count runs over every lower site.
+up to a cap. The first window has 5 sites on each side of the wanted one on
+the cosine and sine lattices, where a low order's window is clipped at k = 0
+and reaches 10 sites above it, and 10 on the Floquet lattice, which the window
+cuts at both ends. The window does not grow with the order, so any order up
+to 2**16 solves at the same cost; higher orders at q != 0 are refused, as the
+Sturm count runs over every lower site. At q = 0 every order is exact.
 """
 from __future__ import annotations
 
@@ -39,9 +42,11 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 
-_HALF_START = 5  # first window half-width, in lattice sites
+_HALF_START = 5  # first window half-width on the cosine and sine lattices, in sites
+_HALF_START_FLOQUET = 10  # first window half-width on the Floquet lattice
 _HALF_CAP = 640  # largest half-width tried before a ConvergenceError
-_ORDER_CAP = 1 << 16  # largest m (nu/2): the Sturm count runs over every lower site
+_ORDER_CAP = 1 << 16  # largest m (nu/2) at q != 0: the Sturm count runs over every lower site
+_ORDER_MAX = 0.5 * math.sqrt(np.finfo(float).max)  # largest m (nu/2) whose (2m)^2 is finite
 _STACK_ENTRIES = 1 << 20  # array entries per stack of rows solved together (8 MB)
 _TRUNC_TOL = 1e-12  # residual bound |q| * tail on the characteristic value
 _TAIL_TOL = 1e-14  # outermost coefficient relative to the largest
@@ -76,7 +81,8 @@ class FourierCoeffs:
     Normalized so 2*A0^2 + sum A^2 = 1 (CE) / sum B^2 = 1 (SE), which makes
     the angular function square-integrate to pi over a full period.
     Coefficients below the solved window are zero; truncation is the number
-    of coefficients kept.
+    of coefficients kept. value is the characteristic value of the same
+    eigenpair.
     """
 
     branch: Branch
@@ -84,6 +90,7 @@ class FourierCoeffs:
     q: float
     coeffs: np.ndarray
     truncation: int
+    value: float
 
 
 def _diagonal(branch: Optional[Branch], order, k):
@@ -122,8 +129,8 @@ def _sturm_count(branch, order, q, bottom, top, x):
         e2 = np.where(inside, _coupling(branch, q[:, None], k) ** 2, 0.0)  # to the site above
         for t in range(k.shape[1]):
             pivot = dx[..., t] - e2[:, t] / pivot if start + t else dx[..., 0]
-            pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
-            count += pivot < 0.0
+            dx[..., t] = pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
+        count += (dx < 0.0).sum(axis=-1)
     return count
 
 
@@ -177,21 +184,21 @@ def _window(branch, order, q, h):
     return value, lo, vec, tail_ok, label_ok
 
 
-def _solve(branch: Optional[Branch], order, q, vectors=False):
+def _solve(branch: Optional[Branch], order, q):
     """Wanted eigenpairs over 1-d arrays of order and q (q != 0), one stacked
     eigh per window size; see the module docstring.
 
     order is the integer m for CE/SE and nu for the Floquet lattice. Returns
     (values, errors, windows): errors[i] is a ConvergenceError for a row that
     fails at the cap, else None; windows[i] is (first site, unit vector) of
-    row i when vectors is true.
+    row i, or None where it failed.
     """
     values = np.full(q.size, np.nan)
     previous = np.full(q.size, np.nan)  # each row's value on its last window but one
     errors = [None] * q.size
     windows = [None] * q.size
     todo = np.arange(q.size)
-    h = _HALF_START
+    h = _HALF_START_FLOQUET if branch is None else _HALF_START
     while todo.size:
         if h > _HALF_CAP:
             for i in todo:
@@ -212,9 +219,8 @@ def _solve(branch: Optional[Branch], order, q, vectors=False):
             values[rows] = value
             ok = tail_ok & label_ok
             failed.append(rows[~ok])
-            if vectors:
-                for j in ok.nonzero()[0]:
-                    windows[rows[j]] = (int(lo[j]), vec[j])
+            for j in ok.nonzero()[0]:
+                windows[rows[j]] = (int(lo[j]), vec[j])
         todo = np.concatenate(failed)
         h *= 2
     return values, errors, windows
@@ -232,26 +238,30 @@ def _domain_error(branch: Optional[Branch], order, q: float):
     if abs(q) > _Q_BOUND:
         return ParameterError(f"|q| = {abs(q)} exceeds truncation-validity bound {_Q_BOUND}")
     half = order / 2.0 if branch is None else order
-    if half > _ORDER_CAP:
+    if q != 0.0 and half > _ORDER_CAP:
         return ParameterError(f"order {half} (m, or nu/2 at fractional order) is above the "
                               f"largest solvable order {_ORDER_CAP}")
+    if not half <= _ORDER_MAX:
+        return ParameterError(f"order {half} (m, or nu/2 at fractional order): its "
+                              f"characteristic value overflows a double")
     return None
 
 
-def char_values(branch: Optional[Branch], order, q, vectors=False):
+def char_values(branch: Optional[Branch], order, q):
     """Characteristic values over arrays of order and q, broadcast together.
 
     branch CE/SE takes integer orders m >= 0 (m >= 1 for SE), whose value
     continues (2m)^2 from q = 0; branch None takes fractional orders nu and
-    continues nu^2 along the Floquet lattice. Returns (values, errors): a row
-    whose order or q is out of domain, or whose solve fails, has value nan
-    and its QringError in errors; every other entry of errors is None. With
-    vectors, also returns each row's (first site, unit vector) window, None
-    where q = 0 or the row failed.
+    continues nu^2 along the Floquet lattice. Returns (values, errors,
+    windows): a row whose order or q is out of domain, or whose solve fails,
+    has value nan and its QringError in errors; every other entry of errors
+    is None. windows[i] is row i's (first site, unit vector), None where
+    q = 0 or the row failed.
     """
     order, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(np.asarray(q, dtype=float)))
     half = order / 2.0 if branch is None else order
-    suspect = ~(np.isfinite(q) & (np.abs(q) <= _Q_BOUND) & (half <= _ORDER_CAP))
+    cap = np.where(q == 0.0, _ORDER_MAX, _ORDER_CAP)  # at q = 0 every finite value is exact
+    suspect = ~(np.isfinite(q) & (np.abs(q) <= _Q_BOUND) & (half <= cap))
     if branch is None:
         suspect |= ~(order > 0.0) | (order == 2.0 * np.rint(order / 2.0))
     errors = [None] * q.size
@@ -265,11 +275,11 @@ def char_values(branch: Optional[Branch], order, q, vectors=False):
     solve = (live & (q != 0.0)).nonzero()[0]
     if solve.size:
         orders = order[solve] if branch is None else order[solve].astype(int)
-        solved, failures, found = _solve(branch, orders, q[solve], vectors)
+        solved, failures, found = _solve(branch, orders, q[solve])
         values[solve] = solved
         for i, err, win in zip(solve, failures, found):
             errors[i], windows[i] = err, win
-    return (values, errors, windows) if vectors else (values, errors)
+    return values, errors, windows
 
 
 def _check_m(m, branch: Branch) -> int:
@@ -290,7 +300,7 @@ def _first(values, errors):
 def char_value(m: int, branch: Branch, q: float) -> MathieuChar:
     """Characteristic value of integer even order 2m (a-type for CE, b-type for SE)."""
     m = _check_m(m, branch)
-    return MathieuChar(2.0 * m, q, branch, _first(*char_values(branch, m, q)))
+    return MathieuChar(2.0 * m, q, branch, _first(*char_values(branch, m, q)[:2]))
 
 
 def char_value_fractional(nu: float, q: float) -> MathieuChar:
@@ -301,7 +311,7 @@ def char_value_fractional(nu: float, q: float) -> MathieuChar:
     meets the CE value, from below the SE value; route exact even integers
     through char_value instead.
     """
-    return MathieuChar(nu, q, None, _first(*char_values(None, nu, q)))
+    return MathieuChar(nu, q, None, _first(*char_values(None, nu, q)[:2]))
 
 
 # --- small-q polynomial form, valid for m > 3 ---
@@ -397,8 +407,8 @@ def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
     below the window are zero.
     """
     m = _check_m(m, branch)
-    values, errors, windows = char_values(branch, m, q, vectors=True)
-    _first(values, errors)
+    values, errors, windows = char_values(branch, m, q)
+    value = _first(values, errors)
     if q == 0.0:
         lo, vec = m - (branch is Branch.SE), np.ones(1)
     else:
@@ -411,7 +421,7 @@ def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
         coeffs[0] /= math.sqrt(2.0)
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
-    return FourierCoeffs(branch, m, q, coeffs, coeffs.size)
+    return FourierCoeffs(branch, m, q, coeffs, coeffs.size, value)
 
 
 def eval_angular(theta, coeffs: FourierCoeffs, delta: float = 0.0):

@@ -109,7 +109,7 @@ def _angular(state: QuantumState, q, delta, errors):
                                 (~integer & live, None, nu)):
         rows = rows.nonzero()[0]
         if rows.size:
-            c[rows], errs = mathieu.char_values(branch, order[rows], q[rows])
+            c[rows], errs, _ = mathieu.char_values(branch, order[rows], q[rows])
             for i, err in zip(rows, errs):
                 errors[i] = err
     letter = "a" if state.parity is Branch.CE else "b"
@@ -300,13 +300,16 @@ def transition(
     lo, _, lo_err = qr_energies(state_lo, mat, D)
     hi0, _, hi0_err = qr_energies(state_hi, mat, 0.0)
     lo0, _, lo0_err = qr_energies(state_lo, mat, 0.0)
+    # raise what the scalar form would at the first D that fails
+    for err in (*hi_err[:1], *lo_err[:1], *hi0_err, *lo0_err):
+        if err is not None:
+            raise err
     de_no = float(hi0["e_hw0"][0] - lo0["e_hw0"][0])
-    for errs in zip(hi_err, lo_err):  # raise what the first failing D would
-        for err in (*errs, *hi0_err, *lo0_err):
-            if err is not None:
-                raise err
-        if de_no == 0.0:
-            raise ParameterError("degenerate reference transition (dE = 0 at D = 0)")
+    if de_no == 0.0:
+        raise ParameterError("degenerate reference transition (dE = 0 at D = 0)")
+    for err in [e for pair in zip(hi_err, lo_err) for e in pair]:
+        if err is not None:
+            raise err
     de_with = hi["e_hw0"] - lo["e_hw0"]
     if np.ndim(D) == 0:
         de_with = float(de_with[0])

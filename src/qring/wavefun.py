@@ -53,10 +53,15 @@ def _closed_form_norm(n_r: int, alpha: float, a: float) -> float:
 
 def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
     """Build a normalized WaveSpec (closed-form N; see normalize_numeric)."""
-    e_theta, _, q, _ = spectrum.angular_eigenvalue(state, params)
+    q = 4.0 * params.mu * params.D_theta
+    if state.delta == params.delta == 0.0:  # one eigenpair gives value and coefficients
+        coeffs = mathieu.fourier_coeffs(state.m, state.parity, q)
+        e_theta = -coeffs.value / 4.0
+    else:
+        e_theta = spectrum.angular_eigenvalue(state, params)[0]
+        coeffs = mathieu.fourier_coeffs(state.m, state.parity, q)
     _, alpha = spectrum.radial_exponent(e_theta, params)
     a = params.a_length
-    coeffs = mathieu.fourier_coeffs(state.m, state.parity, q)
     N = _closed_form_norm(state.n_r, alpha, a)
     if N < sys.float_info.min:
         # the density would print as zeros, then as 0 * inf = nan

@@ -258,9 +258,11 @@ def test_domain_errors_exit_3():
     code, out, err = _run(["ab-sweep", "--delta-range", "1e6", "--D", "1"])
     assert code == 3 and out == ""
     assert "largest solvable order 65536" in err
-    # a flux whose order overflows a double is refused the same way, not a traceback
+    # at D = 0 every order solves exactly, unless its value overflows a double
+    code, out, err = _run(["energies", "--m", "70000", "--D", "0"])
+    assert code == 0 and out.splitlines()[1].split(",")[7] == "19600000000"
     code, out, err = _run(["ab-sweep", "--delta-range", "1e308", "--D", "0"])
-    assert code == 3 and out == "" and "largest solvable order 65536" in err
+    assert code == 3 and out == "" and "overflows a double" in err
     code, out, err = _run(["energies", "--delta=-1e308"])
     assert code == 0 and out.splitlines()[1].endswith(",,,,,,") and "out of range" in err
 

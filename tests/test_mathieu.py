@@ -253,38 +253,33 @@ def eig_calls(monkeypatch):
 
 @pytest.mark.parametrize("q", [0.1, 0.2118, 0.56])
 def test_one_eigensolve_per_value(eig_calls, q):
-    # a scalar solve stacks one matrix per call and solves each window once,
-    # doubling its half-width from 5 sites until the bound holds
+    # at these q the first window meets the bound: one matrix, solved once,
+    # of 11 sites on the cosine and sine lattices and 21 on the Floquet one
     for m in range(4):
-        solves = [lambda: char_value(m, Branch.CE, q),
-                  lambda: fourier_coeffs(m, Branch.CE, q),
-                  lambda: char_value_fractional(2.0 * (m + 0.3), q)]
+        solves = [(11, lambda: char_value(m, Branch.CE, q)),
+                  (11, lambda: fourier_coeffs(m, Branch.CE, q)),
+                  (21, lambda: char_value_fractional(2.0 * (m + 0.3), q))]
         if m:
-            solves += [lambda: char_value(m, Branch.SE, q),
-                       lambda: fourier_coeffs(m, Branch.SE, q)]
-        for solve in solves:
+            solves += [(11, lambda: char_value(m, Branch.SE, q)),
+                       (11, lambda: fourier_coeffs(m, Branch.SE, q))]
+        for n, solve in solves:
             eig_calls.clear()
             solve()
-            assert eig_calls == [(1, 2 * w + 1, 2 * w + 1)
-                                 for w in 5 * 2 ** np.arange(len(eig_calls))]
-    eig_calls.clear()
-    for m in range(4):  # the first window already meets the bound
-        char_value(m, Branch.CE, q)
-    assert len(eig_calls) == 4
+            assert eig_calls == [(1, n, n)]
 
 
 def test_one_stacked_eigensolve_per_batch(eig_calls):
     q = np.linspace(0.0, 0.56, 1001)  # the sweep grid's range of q
     for m in range(4):
         eig_calls.clear()
-        values, errors = mathieu.char_values(Branch.CE, m, q)
+        values, errors, _ = mathieu.char_values(Branch.CE, m, q)
         assert eig_calls == [(1000, 11, 11)]  # q = 0 is exact and takes no solve
         assert errors == [None] * 1001 and values[0] == 4.0 * m * m
         assert [char_value(m, Branch.CE, x).value for x in q[::100]] == list(values[::100])
     # at larger q only the rows that miss the bound are solved again, wider
     q = np.linspace(0.0, 3.0, 1001)
     eig_calls.clear()
-    values, errors = mathieu.char_values(Branch.CE, 3, q)
+    values, errors, _ = mathieu.char_values(Branch.CE, 3, q)
     assert eig_calls[0] == (1000, 11, 11) and len(eig_calls) == 2
     assert 0 < eig_calls[1][0] < 1000 and eig_calls[1][1:] == (21, 21)
     assert [char_value(3, Branch.CE, x).value for x in q[::100]] == list(values[::100])
@@ -304,8 +299,7 @@ def test_returned_pair_meets_residual_bound(m, q):
     if m:
         cases.append((Branch.SE, m))
     for branch, order in cases:
-        values, errors, windows = mathieu._solve(branch, np.array([order]), np.array([q]),
-                                                 vectors=True)
+        values, errors, windows = mathieu._solve(branch, np.array([order]), np.array([q]))
         assert errors == [None]
         lo, vec = windows[0]
         at_bottom = branch is not None and lo == 0
@@ -384,10 +378,13 @@ def test_orders_past_the_truncation_cap_are_parameter_errors():
         char_value_fractional(2 * 65536 + 0.5, 0.1)
     with pytest.raises(ParameterError):
         fourier_coeffs(65537, Branch.SE, 0.1)
-    with pytest.raises(ParameterError, match="65536"):
-        char_value(65537, Branch.CE, 0.0)
-    assert char_value(65536, Branch.CE, 0.0).value == 131072.0 ** 2
-    assert char_value_fractional(4096.5, 0.0).value == 4096.5 ** 2
+    # at q = 0 the value is exact for every order whose square is finite
+    assert char_value(65537, Branch.CE, 0.0).value == 131074.0 ** 2
+    assert char_value_fractional(2 * 65536 + 0.5, 0.0).value == 131072.5 ** 2
+    fc = fourier_coeffs(65537, Branch.SE, 0.0)
+    assert fc.coeffs[-1] == 1.0 and not fc.coeffs[:-1].any() and fc.value == 131074.0 ** 2
+    values, errors, _ = mathieu.char_values(Branch.CE, 1e160, 0.0)
+    assert np.isnan(values[0]) and "overflows" in str(errors[0])
 
 
 @pytest.mark.parametrize("m", [2048, 5000])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,26 @@ def test_transition_shift_is_nr_independent():
                              QuantumState(n_r, 0, Branch.CE), GAAS, 10.0)
         shifts.append(s)
     assert max(shifts) - min(shifts) < 1e-14
+
+
+def test_transition_over_an_array_of_d():
+    hi, lo = QuantumState(0, 2, Branch.CE), QuantumState(0, 1, Branch.CE)
+    d = [0.0, 3.0, 7.5]
+    de_with, de_no, rel = transition(hi, lo, GAAS, np.array(d))
+    for i, x in enumerate(d):
+        assert (de_with[i], de_no, rel[i]) == transition(hi, lo, GAAS, x)
+    # the batch raises what the scalar form raises at the first failing D
+    for batch, first in (([1.0, 5e5, -1.0], 5e5), ([-1.0, 5e5], -1.0)):
+        with pytest.raises(ParameterError) as single:
+            transition(hi, lo, GAAS, first)
+        with pytest.raises(ParameterError) as many:
+            transition(hi, lo, GAAS, np.array(batch))
+        assert str(many.value) == str(single.value)
+    # with no D the D = 0 pair is still solved and checked
+    de_with, de_no, rel = transition(hi, lo, GAAS, np.array([]))
+    assert de_with.size == rel.size == 0 and de_no == transition(hi, lo, GAAS, 0.0)[1]
+    with pytest.raises(ParameterError):
+        transition(hi, lo, replace(GAAS, hbar_omega0=-1.0), np.array([]))
 
 
 def test_ab_correction_zero_reference():

@@ -9,12 +9,14 @@ from qring import (
     ParameterError,
     PhoParams,
     QuantumState,
+    angular_eigenvalue,
     from_material,
     from_pho,
     get_material,
     make_wave,
     normalize_numeric,
     psi,
+    radial_exponent,
     radial_profile,
     renormalized,
 )
@@ -26,6 +28,25 @@ GAAS = get_material("GaAs")
 def _spec(n_r=0, m=1, parity=Branch.CE, D=5.0, delta=0.0, mat=GAAS):
     return make_wave(QuantumState(n_r, m, parity, delta),
                      from_material(mat, D, delta))
+
+
+@pytest.mark.parametrize("delta,solves", [(0.0, 1), (0.25, 2)])
+def test_make_wave_solves_the_zero_flux_angular_matrix_once(monkeypatch, delta, solves):
+    # at zero flux one eigenpair gives both the value and the coefficients;
+    # a flux shifts the value's order away from the coefficients' one
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    spec = _spec(n_r=1, m=2, delta=delta)
+    assert len(calls) == solves
+    monkeypatch.setattr(np.linalg, "eigh", real)
+    e_theta = angular_eigenvalue(spec.state, spec.params)[0]
+    assert spec.alpha == radial_exponent(e_theta, spec.params)[1]
 
 
 def test_norm_scales_as_inverse_sqrt_a():
