@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
@@ -19,8 +18,8 @@ import numpy as np
 from . import oracle, spectrum, wavefun
 from .errors import DomainError, NumericsError, QringError, UsageError
 from .mathieu import Branch, char_value, char_value_series, series_p8_estimate
-from .params import builtin_materials, get_material, parse_config
-from .spectrum import QuantumState, SweepConfig, qr_energies, sweep, transition
+from .params import builtin_materials, from_material, get_material, parse_config
+from .spectrum import QuantumState, SweepConfig, qr_energies, transition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,43 +62,38 @@ def _material_list(text: str):
     return [get_material(name.strip()) for name in text.split(",")]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "%.12g" % value
-    return str(value)
+def _cells(column, n):
+    """The n cells of one table column as strings.
+
+    A column is a float array over the rows, or one scalar repeated. Floats
+    print to 12 significant digits; nan, the computed value of a row that
+    failed, prints empty.
+    """
+    if not isinstance(column, np.ndarray):
+        return ["%.12g" % column if isinstance(column, float) else str(column)] * n
+    return ["%.12g" % v if v == v else "" for v in column.tolist()]
 
 
-def emit_csv(rows, header, stream=None):
-    """Header + rows, 12 significant digits, RFC-4180 quoting, LF endings."""
-    stream = stream if stream is not None else sys.stdout
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
+def _emit(args, header, groups):
+    """Write a table to stdout from groups of columns, formatting one group at a time.
+
+    A group of scalars is one row. CSV has RFC-4180 quoting and LF endings;
+    --pretty right-aligns each column to its widest cell instead.
+    """
+    def rows_of(columns):
+        n = max((len(c) for c in columns if isinstance(c, np.ndarray)), default=1)
+        return zip(*(_cells(c, n) for c in columns))
+    rows = (row for columns in groups for row in rows_of(columns))
+    if not args.pretty:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    rows = [header, *rows]
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-
-
-def _emit_pretty(rows, header, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [len(h) for h in header]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    def line(vals):
-        return "  ".join(v.rjust(w) for v, w in zip(vals, widths))
-    print(line(header), file=stream)
-    print(line(["-" * w for w in widths]), file=stream)
-    for row in cells:
-        print(line(row), file=stream)
-
-
-def _emit(args, rows, header):
-    if args.pretty:
-        _emit_pretty(rows, header)
-    else:
-        emit_csv(rows, header)
+        print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
 
 
 def _build_parser():
@@ -222,60 +216,51 @@ def _states_of(args, delta, nr_list=None):
     return out
 
 
-def _cmd_energies(args):
-    mats = _materials_of(args)
-    states = _states_of(args, args.delta, nr_list=args.nr)
-    rows = sweep(SweepConfig(tuple(mats), tuple(states), (args.D,)))
-    out = []
-    for r in rows:
-        if r.error:
-            print(f"warning: {r.material} {r.state}: {r.error}", file=sys.stderr)
-            out.append([r.material, r.D, r.state.delta, r.state.n_r, r.state.m,
-                        r.state.parity.value, None, None, None, None, None, None])
-            continue
-        out.append([r.material, r.D, r.state.delta, r.state.n_r, r.state.m,
-                    r.state.parity.value, r.q_mathieu, r.char_value, r.alpha,
-                    r.lambda_eff, r.e_hw0, r.e_ev])
-    _emit(args, out, ["material", "D", "delta", "nr", "m", "parity", "p",
-                      "char_value", "alpha", "lambda_eff", "E_hw0", "E_eV"])
+def _sweep_table(args, mats, states, d_values, header):
+    """Print a warning on stderr for each failed row, in row order, then the table.
+
+    Each header entry names a qr_energies column, p, E_hw0, E_eV or a row label.
+    """
+    groups = list(spectrum._groups(SweepConfig(tuple(mats), tuple(states), tuple(d_values))))
+    for mat, state, _, _, _, errors in groups:
+        for err in errors:
+            if err is not None:
+                print(f"warning: {mat.name} {state}: {err}", file=sys.stderr)
+    _emit(args, header, ([dict(c, material=mat.name, D=D, delta=s.delta, nr=s.n_r, m=s.m,
+                               parity=s.parity.value, p=c["q_mathieu"], E_hw0=c["e_hw0"],
+                               E_eV=c["e_ev"])[name] for name in header]
+                         for mat, s, D, c, _, _ in groups))
     return 0
+
+
+def _cmd_energies(args):
+    return _sweep_table(args, _materials_of(args), _states_of(args, args.delta, nr_list=args.nr),
+                        [args.D], ["material", "D", "delta", "nr", "m", "parity", "p",
+                                   "char_value", "alpha", "lambda_eff", "E_hw0", "E_eV"])
 
 
 def _cmd_corrections(args):
-    mats = _materials_of(args)
-    states = _states_of(args, args.delta)
     d_values = args.d_range if args.d_range is not None else _floats_from_range("0:10:0.1")
-    rows = sweep(SweepConfig(tuple(mats), tuple(states), tuple(d_values)))
-    out = []
-    for r in rows:
-        if r.error:
-            print(f"warning: {r.material} {r.state}: {r.error}", file=sys.stderr)
-            out.append([r.material, r.D, None, r.state.m, r.state.parity.value,
-                        r.state.delta, None, None, None])
-            continue
-        out.append([r.material, r.D, r.q_mathieu, r.state.m, r.state.parity.value,
-                    r.state.delta, r.char_value, r.lambda_eff, r.correction])
-    _emit(args, out, ["material", "D", "p", "m", "parity", "delta",
-                      "char_value", "lambda_eff", "correction"])
-    return 0
+    return _sweep_table(args, _materials_of(args), _states_of(args, args.delta), d_values,
+                        ["material", "D", "p", "m", "parity", "delta", "char_value",
+                         "lambda_eff", "correction"])
 
 
 def _cmd_transitions(args):
-    mats = _materials_of(args)
-    d_values = args.d_range if args.d_range is not None else _floats_from_range("0:10:0.1")
-    out = []
-    for mat in sorted(mats, key=lambda m: m.name):
+    d_values = np.array(args.d_range if args.d_range is not None
+                        else _floats_from_range("0:10:0.1"))
+    groups = []
+    for mat in sorted(_materials_of(args), key=lambda m: m.name):
         for parity in args.parity:
             if parity is Branch.SE and args.m_lo == 0:
                 continue
             hi = QuantumState(args.nr, args.m_hi, parity, args.delta)
             lo = QuantumState(args.nr, args.m_lo, parity, args.delta)
-            de_w, de_n, shift = transition(hi, lo, mat, np.array(d_values))
-            for d, w, s in zip(d_values, de_w.tolist(), (100.0 * shift).tolist()):
-                out.append([mat.name, d, args.nr, args.m_hi, args.m_lo,
-                            parity.value, w, de_n, s])
-    _emit(args, out, ["material", "D", "nr", "m_hi", "m_lo", "parity",
-                      "dE_withD", "dE_noD", "rel_shift_pct"])
+            de_w, de_n, shift = transition(hi, lo, mat, d_values)
+            groups.append([mat.name, d_values, args.nr, args.m_hi, args.m_lo,
+                           parity.value, de_w, de_n, 100.0 * shift])
+    _emit(args, ["material", "D", "nr", "m_hi", "m_lo", "parity",
+                 "dE_withD", "dE_noD", "rel_shift_pct"], groups)
     return 0
 
 
@@ -283,7 +268,7 @@ def _cmd_ab_sweep(args):
     mats = _materials_of(args)
     deltas = args.delta_range if args.delta_range is not None else _floats_from_range("0:1:0.02")
     states = _states_of(args, 0.0)
-    out = []
+    groups = []
     for mat in sorted(mats, key=lambda m: m.name):
         for base in states:
             # ab_correction(base, mat, d, D) over the flux axis; row 0 is delta = 0
@@ -292,10 +277,10 @@ def _cmd_ab_sweep(args):
                 if err is not None:
                     raise err
             lam = cols["lambda_eff"]
-            for d, on, shift in zip(deltas, lam[1:].tolist(), (lam[1:] - lam[0]).tolist()):
-                out.append([mat.name, args.D, base.m, base.parity.value, d, on, shift])
-    _emit(args, out, ["material", "D", "m", "parity", "delta",
-                      "lambda_eff", "ab_correction"])
+            groups.append([mat.name, args.D, base.m, base.parity.value, np.array(deltas),
+                           lam[1:], lam[1:] - lam[0]])
+    _emit(args, ["material", "D", "m", "parity", "delta",
+                 "lambda_eff", "ab_correction"], groups)
     return 0
 
 
@@ -307,22 +292,19 @@ def _cmd_wavefunction(args):
         raise UsageError(f"--points must be >= 0, got {args.points}")
     if not math.isfinite(args.r_max):
         raise DomainError(f"--r-max must be finite, got {args.r_max}")
-    from .params import from_material
-
     state = QuantumState(args.nr[0], args.m[0], args.parity[0], args.delta)
     params = from_material(mats[0], args.D, args.delta)
     spec = wavefun.make_wave(state, params)
     grid = np.linspace(0.0, args.r_max * spec.a, args.points)
     table = wavefun.radial_profile(spec, grid)
-    out = [[r, dens, table.nodes] for r, dens in table.rows]
-    _emit(args, out, ["r", "R2", "nodes"])
+    r, dens = np.array(table.rows, dtype=float).reshape(-1, 2).T
+    _emit(args, ["r", "R2", "nodes"], [[r, dens, table.nodes]])
     return 0
 
 
 def _cmd_materials(args):
-    rows = [[m.name, m.m_star, m.eps_r, m.lam, m.hbar_omega0]
-            for m in builtin_materials()]
-    _emit(args, rows, ["name", "m_star", "eps_r", "lambda", "hbar_omega0_eV"])
+    _emit(args, ["name", "m_star", "eps_r", "lambda", "hbar_omega0_eV"],
+          [[m.name, m.m_star, m.eps_r, m.lam, m.hbar_omega0] for m in builtin_materials()])
     return 0
 
 
@@ -340,8 +322,7 @@ def _verify_angular():
                     if parity is Branch.SE and m == 0:
                         continue
                     state = QuantumState(0, m, parity, delta)
-                    params = replace(spectrum.from_material(gaas, 0.0, delta),
-                                     D_theta=0.0)
+                    params = replace(from_material(gaas, 0.0, delta), D_theta=0.0)
                     # build params with the exact q requested
                     params = replace(params, D_theta=p / (4.0 * params.mu))
                     e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
@@ -364,7 +345,7 @@ def _verify_radial():
             for m in range(3):
                 if parity is Branch.SE and m == 0:
                     continue
-                params = spectrum.from_material(gaas, d, 0.0)
+                params = from_material(gaas, d, 0.0)
                 state = QuantumState(0, m, parity, 0.0)
                 e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
                 fd = oracle.radial_fd_eigs(e_theta, params, 3)
@@ -389,8 +370,6 @@ def _verify_series():
 
 
 def _verify_normalization():
-    from .params import from_material
-
     gaas = get_material("GaAs")
     worst = 0.0
     cases = 0
@@ -416,15 +395,11 @@ def _cmd_verify(args):
         "normalization": _verify_normalization,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    rows = []
-    failed = False
-    for name in names:
-        cases, worst, tol = suites[name]()
-        ok = worst <= tol
-        failed |= not ok
-        rows.append([name, cases, worst, tol, "ok" if ok else "FAIL"])
-    _emit(args, rows, ["check", "cases", "worst", "tol", "status"])
-    return 2 if failed else 0
+    rows = [[name, *suites[name]()] for name in names]
+    ok = [worst <= tol for _, _, worst, tol in rows]
+    _emit(args, ["check", "cases", "worst", "tol", "status"],
+          [[*row, "ok" if good else "FAIL"] for row, good in zip(rows, ok)])
+    return 0 if all(ok) else 2
 
 
 _COMMANDS = {

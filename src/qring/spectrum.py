@@ -152,12 +152,16 @@ def _chain(state: QuantumState, params: SystemParams, q, delta, errors):
 
     scale = np.maximum(np.maximum(np.abs(E_closed), np.abs(E_chain)), omega_like)
 
+    # the comparison reads inf > inf as agreement, so an overflowed route fails by name
+    finite = np.isfinite([E_closed, E_chain, alpha, lam_eff]).all(axis=0)
+
     def disagree(i):
         closed, chain = float(E_closed[i]), float(E_chain[i])
-        return EvaluationError(f"energy routes disagree: closed {closed!r} vs chain {chain!r}",
+        verdict = "disagree" if finite[i] else "overflow"
+        return EvaluationError(f"energy routes {verdict}: closed {closed!r} vs chain {chain!r}",
                                term_trace=[("closed", closed), ("chain", chain)])
 
-    _fail(errors, np.abs(E_closed - E_chain) > 1e-12 * scale, disagree)
+    _fail(errors, ~finite | (np.abs(E_closed - E_chain) > 1e-12 * scale), disagree)
     lam0 = math.sqrt(2.0 * params.mu * params.B + state.m * state.m)
     failed = ~_live(errors)
     cols = dict(q_mathieu=q, char_value=c, E_theta=e_theta, eta=eta, alpha=alpha,
@@ -245,9 +249,8 @@ def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
     return cols, notes, errors
 
 
-def _rows(state: QuantumState, mat: MaterialSpec, D):
-    """(SpectrumRows of state on mat over an array of D, errors)."""
-    cols, notes, errors = qr_energies(state, mat, D)
+def _rows(state: QuantumState, mat: MaterialSpec, D, cols, notes, errors):
+    """SpectrumRows of state on mat over an array of D, from qr_energies' output."""
     keys = list(cols)
     rows = []
     for d, note, err, *values in zip(np.atleast_1d(D).tolist(), notes, errors,
@@ -257,7 +260,7 @@ def _rows(state: QuantumState, mat: MaterialSpec, D):
         else:
             rows.append(SpectrumRow(state=state, branch_note=note, material=mat.name, D=d,
                                     **dict(zip(keys, values))))
-    return rows, errors
+    return rows
 
 
 def qr_energy(state: QuantumState, mat: MaterialSpec, D: float) -> SpectrumRow:
@@ -265,9 +268,9 @@ def qr_energy(state: QuantumState, mat: MaterialSpec, D: float) -> SpectrumRow:
 
     Adds energies in hbar*omega0 units and in eV to the row.
     """
-    rows, errors = _rows(state, mat, D)
+    cols, notes, errors = qr_energies(state, mat, D)
     _first(errors)
-    return rows[0]
+    return _rows(state, mat, D, cols, notes, errors)[0]
 
 
 def correction(state: QuantumState, mat: MaterialSpec, D: float) -> float:
@@ -344,20 +347,41 @@ class SweepConfig:
                 raise ParameterError(f"sweep D values must be finite and >= 0, got {d}")
 
 
-def _sort_key(row: SpectrumRow):
-    s = row.state
-    return (row.material or "", s.parity.value, s.m, s.n_r, s.delta, row.D or 0.0)
+def _groups(config: SweepConfig):
+    """The sweep grid in output order, one (material, state) group at a time.
+
+    Yields (mat, state, D, cols, notes, errors); cols, notes and errors are
+    qr_energies' output, reordered by a stable sort of D. Groups with equal
+    (material name, parity, m, n_r, delta) are joined in input order first
+    and carry the first one's mat and state, so the rows come in the order of
+    a stable sort of the grid by (material, parity, m, n_r, delta, D).
+    """
+    parts = {}
+    for mat in config.materials:
+        for state in config.states:
+            key = (mat.name, state.parity.value, state.m, state.n_r, state.delta)
+            parts.setdefault(key, []).append((mat, state))
+    d_values = np.array(config.d_values, dtype=float)
+    for key in sorted(parts):
+        runs = [qr_energies(state, mat, d_values) for mat, state in parts[key]]
+        D = np.tile(d_values, len(runs))
+        order = np.argsort(D, kind="stable")
+        cols = {k: np.concatenate([run[0][k] for run in runs])[order] for k in runs[0][0]}
+        notes = [note for run in runs for note in run[1]]
+        errors = [err for run in runs for err in run[2]]
+        mat, state = parts[key][0]
+        yield (mat, state, D[order], cols, [notes[i] for i in order.tolist()],
+               [errors[i] for i in order.tolist()])
 
 
 def sweep(config: SweepConfig) -> list:
     """Evaluate the grid; per-row failures are recorded, not raised.
 
     Rows come back in the deterministic order (material, parity, m, n_r,
-    delta, D).
+    delta, D); the order is stable, so repeated inputs repeat their rows in
+    input order.
     """
     rows = []
-    for mat in config.materials:
-        for state in config.states:  # the D axis as one array
-            rows += _rows(state, mat, np.array(config.d_values, dtype=float))[0]
-    rows.sort(key=_sort_key)
+    for mat, state, D, cols, notes, errors in _groups(config):
+        rows += _rows(state, mat, D, cols, notes, errors)
     return rows

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import os
@@ -10,10 +11,13 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qring import (Branch, QuantumState, ab_correction, char_value_series, from_material,
-                   get_material, make_wave, series_p8_estimate)
-from qring.cli import _floats_from_range, _fmt, run
+from qring import (Branch, QuantumState, SweepConfig, ab_correction, char_value_series,
+                   from_material, get_material, make_wave, series_p8_estimate, spectrum, sweep,
+                   transition)
+from qring.cli import _floats_from_range, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,7 +94,19 @@ def test_ab_sweep_column_is_ab_correction():
     gaas = get_material("GaAs")
     for _, d, m, parity, delta, _, ab in rows:
         state = QuantumState(0, int(m), Branch(parity))
-        assert ab == _fmt(ab_correction(state, gaas, float(delta), D=float(d)))
+        assert ab == "%.12g" % ab_correction(state, gaas, float(delta), D=float(d))
+
+
+def test_transitions_columns_are_transition():
+    code, out, _ = _run(["transitions", "--material", "GaAs,CdSe", "--m-hi", "2", "--m-lo", "1",
+                         "--nr", "1", "--parity", "ce,se", "--D-range", "0:10:2.5"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2 * 2 * 5  # materials x parities x D
+    for name, d, nr, m_hi, m_lo, parity, de_w, de_n, shift in rows:
+        hi, lo = (QuantumState(int(nr), int(m), Branch(parity)) for m in (m_hi, m_lo))
+        want = transition(hi, lo, get_material(name), float(d))
+        assert [de_w, de_n, shift] == ["%.12g" % v for v in (want[0], want[1], 100.0 * want[2])]
 
 
 def test_wavefunction_schema():
@@ -265,6 +281,107 @@ def test_domain_errors_exit_3():
     assert code == 3 and out == "" and "overflows a double" in err
     code, out, err = _run(["energies", "--delta=-1e308"])
     assert code == 0 and out.splitlines()[1].endswith(",,,,,,") and "out of range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["energies", "--delta=6e153", "--D", "0"],  # beta overflows; alpha used to print inf
+    ["energies", "--delta=-1e308"],
+    ["energies", "--m", "0,1", "--D", "1e6"],
+    ["corrections", "--m", "0,2", "--D-range", "0:1000:100", "--delta", "0.25"],
+])
+def test_failed_rows_print_no_non_finite_cell(argv):
+    code, out, err = _run(argv)
+    assert code == 0 and "warning:" in err
+    cells = {cell.lower() for row in csv.reader(io.StringIO(out)) for cell in row}
+    assert not cells & {"nan", "inf", "-inf"}
+
+
+def test_table_commands_build_no_spectrum_rows(monkeypatch):
+    made = []
+    row_type = spectrum.SpectrumRow
+    monkeypatch.setattr(spectrum, "SpectrumRow", lambda **kw: made.append(1) or row_type(**kw))
+    for argv in (["corrections", "--material", "GaAs,CdSe", "--m", "0,1", "--parity", "ce,se",
+                  "--D-range", "0:1000:10"],
+                 ["energies", "--m", "0,1,2", "--nr", "0,1", "--D", "900"]):
+        code, out, err = _run(argv)
+        assert code == 0 and "warning:" in err and len(out.splitlines()) > 1
+    assert made == []
+    sweep(SweepConfig((get_material("GaAs"),), (QuantumState(0, 1, Branch.CE),), (0.0, 1.0)))
+    assert len(made) == 2  # the counter sees the rows sweep() builds
+
+
+def _reference_table(command, names, states, d_values, pretty):
+    """stdout and stderr of a table command, from sweep() rows formatted cell by cell."""
+    rows = sorted(sweep(SweepConfig(tuple(map(get_material, names)), tuple(states),
+                                    tuple(d_values))),
+                  key=lambda r: (r.material, r.state.parity.value, r.state.m, r.state.n_r,
+                                 r.state.delta, r.D))
+    err, table = [], []
+    for r in rows:
+        s = r.state
+        if command == "energies":
+            labels = [r.material, r.D, s.delta, s.n_r, s.m, s.parity.value]
+            computed = [r.q_mathieu, r.char_value, r.alpha, r.lambda_eff, r.e_hw0, r.e_ev]
+        else:
+            labels = [r.material, r.D, None, s.m, s.parity.value, s.delta]
+            computed = [r.char_value, r.lambda_eff, r.correction]
+        if r.error:
+            err.append(f"warning: {r.material} {s}: {r.error}\n")
+            computed = [None] * len(computed)
+        elif command == "corrections":
+            labels[2] = r.q_mathieu
+        table.append(["" if v is None else "%.12g" % v if isinstance(v, float) else str(v)
+                      for v in labels + computed])
+    header = (["material", "D", "delta", "nr", "m", "parity", "p", "char_value", "alpha",
+               "lambda_eff", "E_hw0", "E_eV"] if command == "energies" else
+              ["material", "D", "p", "m", "parity", "delta", "char_value", "lambda_eff",
+               "correction"])
+    out = io.StringIO()
+    if pretty:
+        widths = [max(len(c) for c in col) for col in zip(header, *table)]
+        for row in [header, ["-" * w for w in widths], *table]:
+            out.write("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n")
+    else:
+        csv.writer(out, lineterminator="\n").writerows([header, *table])
+    return out.getvalue(), "".join(err)
+
+
+_NAMES = ["GaAs", "GaAlAs_x0.3", "CdSe"]
+_D = st.sampled_from([0.0, 0.5, 3.0, 10.0, 900.0, 5e5])  # 900: m = 0 supercritical; 5e5: |q| too large
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(command=st.sampled_from(["energies", "corrections"]),
+       names=st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3),
+       ms=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       parities=st.lists(st.sampled_from(["ce", "se"]), min_size=1, max_size=2),
+       nrs=st.lists(st.integers(0, 1), min_size=1, max_size=2),
+       d_values=st.lists(_D, min_size=1, max_size=3, unique=True),
+       delta=st.sampled_from([0.0, 0.25]),
+       pretty=st.booleans())
+def test_table_commands_match_the_row_reference(command, names, ms, parities, nrs, d_values,
+                                               delta, pretty):
+    # repeated materials and states must interleave their rows by D, as a stable sort does
+    argv = [command, "--material", ",".join(names), "--m", ",".join(map(str, ms)),
+            "--parity", ",".join(parities), "--delta", repr(delta)]
+    if command == "energies":
+        d_values = d_values[:1]
+        argv += ["--nr", ",".join(map(str, nrs)), "--D", repr(d_values[0])]
+    else:
+        nrs = [0]
+        lo, hi = min(d_values), max(d_values)
+        d_range = repr(lo) if lo == hi else f"{lo!r}:{hi!r}:{hi - lo!r}"
+        argv += ["--D-range", d_range]
+        d_values = _floats_from_range(d_range)
+    argv += ["--pretty"] if pretty else []
+    states = [QuantumState(nr, m, Branch(p), delta) for p in parities for m in ms for nr in nrs
+              if not (p == "se" and m == 0)]
+    code, out, err = _run(argv)
+    if not states:
+        assert code == 1
+        return
+    assert code == 0
+    assert (out, err) == _reference_table(command, names, states, d_values, pretty)
 
 
 def test_config_file_merging(tmp_path):

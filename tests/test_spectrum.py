@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qring import (
     Branch,
+    EvaluationError,
     ParameterError,
     QringError,
     QuantumState,
@@ -25,6 +26,7 @@ from qring import (
     sweep,
     transition,
 )
+from qring.spectrum import qr_energies
 
 GAAS = get_material("GaAs")
 
@@ -79,6 +81,19 @@ def test_supercritical_rejected():
     params = SystemParams(A=0.5, B=0.0, C=0.0, D_theta=40.0, mu=1.0, delta=0.0)
     with pytest.raises(SupercriticalError):
         energy(QuantumState(0, 0, Branch.CE), params)
+
+
+def test_overflowing_routes_are_row_errors():
+    # at delta = 6e153 beta = delta^2 / (2 mu) overflows: alpha and the chain
+    # energy are inf while the closed-form energy is finite
+    state = QuantumState(0, 0, Branch.CE)
+    cols, _, errors = qr_energies(state, GAAS, 0.0, delta=[0.25, 6e153])
+    assert errors[0] is None and all(math.isfinite(v[0]) for v in cols.values())
+    assert isinstance(errors[1], EvaluationError)
+    assert "energy routes overflow" in str(errors[1])
+    assert all(math.isnan(v[1]) for v in cols.values())
+    with pytest.raises(EvaluationError):
+        qr_energy(replace(state, delta=6e153), GAAS, 0.0)
 
 
 def test_correction_sign_and_small_d_scaling():
