@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracle, spectrum, wavefun
 from .errors import DomainError, NumericsError, QringError, UsageError
-from .mathieu import Branch, char_value, char_value_series, series_p8_estimate
+from .mathieu import Branch, _raise_first, char_value, char_value_series, series_p8_estimate
 from .params import builtin_materials, from_material, get_material, parse_config
 from .spectrum import QuantumState, SweepConfig, qr_energies, transition
 
@@ -222,14 +222,14 @@ def _sweep_table(args, mats, states, d_values, header):
     Each header entry names a qr_energies column, p, E_hw0, E_eV or a row label.
     """
     groups = list(spectrum._groups(SweepConfig(tuple(mats), tuple(states), tuple(d_values))))
-    for mat, state, _, _, _, errors in groups:
+    for mat, state, _, _, errors in groups:
         for err in errors:
             if err is not None:
                 print(f"warning: {mat.name} {state}: {err}", file=sys.stderr)
     _emit(args, header, ([dict(c, material=mat.name, D=D, delta=s.delta, nr=s.n_r, m=s.m,
                                parity=s.parity.value, p=c["q_mathieu"], E_hw0=c["e_hw0"],
                                E_eV=c["e_ev"])[name] for name in header]
-                         for mat, s, D, c, _, _ in groups))
+                         for mat, s, D, c, _ in groups))
     return 0
 
 
@@ -272,10 +272,8 @@ def _cmd_ab_sweep(args):
     for mat in sorted(mats, key=lambda m: m.name):
         for base in states:
             # ab_correction(base, mat, d, D) over the flux axis; row 0 is delta = 0
-            cols, _, errors = qr_energies(base, mat, args.D, [0.0, *deltas])
-            for err in errors:
-                if err is not None:
-                    raise err
+            cols, errors = qr_energies(base, mat, args.D, [0.0, *deltas])
+            _raise_first(errors)
             lam = cols["lambda_eff"]
             groups.append([mat.name, args.D, base.m, base.parity.value, np.array(deltas),
                            lam[1:], lam[1:] - lam[0]])
@@ -317,14 +315,14 @@ def _verify_angular():
     for delta in (0.0, 0.25, 0.5):
         for p in (0.0, 0.1, 0.21):
             fds = [oracle.angular_fd_eigs(delta, p, N) for N in (64, 128, 256)]
+            params = from_material(gaas, 0.0, delta)
+            # build params with the exact q requested
+            params = replace(params, D_theta=p / (4.0 * params.mu))
             for parity in (Branch.CE, Branch.SE):
                 for m in range(4):
                     if parity is Branch.SE and m == 0:
                         continue
                     state = QuantumState(0, m, parity, delta)
-                    params = replace(from_material(gaas, 0.0, delta), D_theta=0.0)
-                    # build params with the exact q requested
-                    params = replace(params, D_theta=p / (4.0 * params.mu))
                     e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
                     ests = []
                     for fd in fds:
@@ -341,17 +339,17 @@ def _verify_radial():
     cases = 0
     gaas = get_material("GaAs")
     for d in (0.0, 5.0, 10.0):
+        params = from_material(gaas, d, 0.0)
+        a2 = params.a_length ** 2
         for parity in (Branch.CE, Branch.SE):
             for m in range(3):
                 if parity is Branch.SE and m == 0:
                     continue
-                params = from_material(gaas, d, 0.0)
                 state = QuantumState(0, m, parity, 0.0)
                 e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
                 fd = oracle.radial_fd_eigs(e_theta, params, 3)
-                a2 = params.a_length ** 2
+                _, alpha = spectrum.radial_exponent(e_theta, params)
                 for nr in range(3):
-                    _, alpha = spectrum.radial_exponent(e_theta, params)
                     eps = (4 * nr + 4 * alpha + 1) / a2
                     worst = max(worst, abs(fd.eigenvalues[nr] - eps) / eps)
                     cases += 1

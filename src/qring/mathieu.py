@@ -147,7 +147,7 @@ def _window(branch, order, q, h):
         lo = np.full(q.size, -h)
         bottom = -np.floor(order + h).astype(int)  # |nu+2k| <= nu+2h from here up
     else:
-        label = order - (branch is Branch.SE)
+        label = order.astype(int) - (branch is Branch.SE)
         lo = np.maximum(label - h, 0)
         bottom = np.zeros(q.size, dtype=int)
     k = lo[:, None] + np.arange(n)
@@ -184,20 +184,71 @@ def _window(branch, order, q, h):
     return value, lo, vec, tail_ok, label_ok
 
 
-def _solve(branch: Optional[Branch], order, q):
-    """Wanted eigenpairs over 1-d arrays of order and q (q != 0), one stacked
-    eigh per window size; see the module docstring.
+def _fail(errors, mask, make):
+    """Give each row of mask that has no error yet the error make(i)."""
+    for i in mask.nonzero()[0]:
+        if errors[i] is None:
+            errors[i] = make(i)
 
-    order is the integer m for CE/SE and nu for the Floquet lattice. Returns
-    (values, errors, windows): errors[i] is a ConvergenceError for a row that
-    fails at the cap, else None; windows[i] is (first site, unit vector) of
-    row i, or None where it failed.
+
+def _live(errors):
+    return np.array([err is None for err in errors], dtype=bool)
+
+
+def _raise_first(errors):
+    """Raise the first error that is not None, in order."""
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+def char_values(branch: Optional[Branch], order, q):
+    """Characteristic values over arrays of order and q, broadcast together.
+
+    branch CE/SE takes integer orders m >= 0 (m >= 1 for SE), whose value
+    continues (2m)^2 from q = 0; branch None takes fractional orders nu and
+    continues nu^2 along the Floquet lattice. Returns (values, errors,
+    windows): a row whose order or q is out of domain, or whose solve fails,
+    has value nan and its QringError in errors; every other entry of errors
+    is None. windows[i] is row i's (first site, unit vector), None where
+    q = 0 or the row failed.
+
+    Rows at q != 0 are solved with one stacked eigh per window size (see the
+    module docstring); the rows that fail are solved again on a window of
+    twice the half-width, and a row still failing at the cap gets a
+    ConvergenceError.
     """
+    order, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(np.asarray(q, dtype=float)))
+    half = order / 2.0 if branch is None else order
     values = np.full(q.size, np.nan)
-    previous = np.full(q.size, np.nan)  # each row's value on its last window but one
     errors = [None] * q.size
     windows = [None] * q.size
-    todo = np.arange(q.size)
+    # the domain rules in order; a row gets the message of the first it breaks
+    rules = [] if branch is not None else [
+        (~(np.isfinite(order) & (order > 0.0)),
+         lambda i: f"fractional order must be positive and finite, got {order[i].item()}"),
+        (order == 2.0 * np.rint(order / 2.0),
+         lambda i: f"nu = {order[i].item()} is an even integer; use char_value"),
+    ]
+    rules += [
+        (~np.isfinite(q), lambda i: "q must be finite"),
+        (np.abs(q) > _Q_BOUND, lambda i: f"|q| = {abs(q[i].item())} exceeds "
+                                         f"truncation-validity bound {_Q_BOUND}"),
+        ((q != 0.0) & (half > _ORDER_CAP),  # at q = 0 every finite value is exact
+         lambda i: f"order {half[i].item()} (m, or nu/2 at fractional order) is above the "
+                   f"largest solvable order {_ORDER_CAP}"),
+        (~(half <= _ORDER_MAX),
+         lambda i: f"order {half[i].item()} (m, or nu/2 at fractional order): its "
+                   f"characteristic value overflows a double"),
+    ]
+    for mask, message in rules:
+        _fail(errors, mask, lambda i: ParameterError(message(i)))
+    live = _live(errors)
+    still = live & (q == 0.0)
+    values[still] = (order[still] if branch is None else 2.0 * order[still]) ** 2
+
+    previous = np.full(q.size, np.nan)  # each row's value on its last window but one
+    todo = (live & (q != 0.0)).nonzero()[0]
     h = _HALF_START_FLOQUET if branch is None else _HALF_START
     while todo.size:
         if h > _HALF_CAP:
@@ -208,7 +259,7 @@ def _solve(branch: Optional[Branch], order, q):
                     last=float(values[i]),
                     previous=float(previous[i]),
                 )
-                values[i] = np.nan
+            values[todo] = np.nan
             break
         failed = []
         step = max(1, _STACK_ENTRIES // (2 * h + 1) ** 2)
@@ -226,62 +277,6 @@ def _solve(branch: Optional[Branch], order, q):
     return values, errors, windows
 
 
-def _domain_error(branch: Optional[Branch], order, q: float):
-    """The ParameterError of one row's (order, q), or None."""
-    if branch is None:
-        if not math.isfinite(order) or order <= 0:
-            return ParameterError(f"fractional order must be positive and finite, got {order}")
-        if order == 2.0 * round(order / 2.0):
-            return ParameterError(f"nu = {order} is an even integer; use char_value")
-    if not math.isfinite(q):
-        return ParameterError("q must be finite")
-    if abs(q) > _Q_BOUND:
-        return ParameterError(f"|q| = {abs(q)} exceeds truncation-validity bound {_Q_BOUND}")
-    half = order / 2.0 if branch is None else order
-    if q != 0.0 and half > _ORDER_CAP:
-        return ParameterError(f"order {half} (m, or nu/2 at fractional order) is above the "
-                              f"largest solvable order {_ORDER_CAP}")
-    if not half <= _ORDER_MAX:
-        return ParameterError(f"order {half} (m, or nu/2 at fractional order): its "
-                              f"characteristic value overflows a double")
-    return None
-
-
-def char_values(branch: Optional[Branch], order, q):
-    """Characteristic values over arrays of order and q, broadcast together.
-
-    branch CE/SE takes integer orders m >= 0 (m >= 1 for SE), whose value
-    continues (2m)^2 from q = 0; branch None takes fractional orders nu and
-    continues nu^2 along the Floquet lattice. Returns (values, errors,
-    windows): a row whose order or q is out of domain, or whose solve fails,
-    has value nan and its QringError in errors; every other entry of errors
-    is None. windows[i] is row i's (first site, unit vector), None where
-    q = 0 or the row failed.
-    """
-    order, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(np.asarray(q, dtype=float)))
-    half = order / 2.0 if branch is None else order
-    cap = np.where(q == 0.0, _ORDER_MAX, _ORDER_CAP)  # at q = 0 every finite value is exact
-    suspect = ~(np.isfinite(q) & (np.abs(q) <= _Q_BOUND) & (half <= cap))
-    if branch is None:
-        suspect |= ~(order > 0.0) | (order == 2.0 * np.rint(order / 2.0))
-    errors = [None] * q.size
-    for i in suspect.nonzero()[0]:
-        errors[i] = _domain_error(branch, order[i].item(), q[i].item())
-    values = np.full(q.size, np.nan)
-    windows = [None] * q.size
-    live = np.array([err is None for err in errors], dtype=bool)
-    still = live & (q == 0.0)
-    values[still] = (order[still] if branch is None else 2.0 * order[still]) ** 2
-    solve = (live & (q != 0.0)).nonzero()[0]
-    if solve.size:
-        orders = order[solve] if branch is None else order[solve].astype(int)
-        solved, failures, found = _solve(branch, orders, q[solve])
-        values[solve] = solved
-        for i, err, win in zip(solve, failures, found):
-            errors[i], windows[i] = err, win
-    return values, errors, windows
-
-
 def _check_m(m, branch: Branch) -> int:
     if m < 0 or int(m) != m:
         raise ParameterError(f"m must be a non-negative integer, got {m}")
@@ -290,17 +285,12 @@ def _check_m(m, branch: Branch) -> int:
     return int(m)
 
 
-def _first(values, errors):
-    """The single value of a length-one result, raising its error."""
-    if errors[0] is not None:
-        raise errors[0]
-    return float(values[0])
-
-
 def char_value(m: int, branch: Branch, q: float) -> MathieuChar:
     """Characteristic value of integer even order 2m (a-type for CE, b-type for SE)."""
     m = _check_m(m, branch)
-    return MathieuChar(2.0 * m, q, branch, _first(*char_values(branch, m, q)[:2]))
+    values, errors, _ = char_values(branch, m, q)
+    _raise_first(errors)
+    return MathieuChar(2.0 * m, q, branch, float(values[0]))
 
 
 def char_value_fractional(nu: float, q: float) -> MathieuChar:
@@ -311,7 +301,9 @@ def char_value_fractional(nu: float, q: float) -> MathieuChar:
     meets the CE value, from below the SE value; route exact even integers
     through char_value instead.
     """
-    return MathieuChar(nu, q, None, _first(*char_values(None, nu, q)[:2]))
+    values, errors, _ = char_values(None, nu, q)
+    _raise_first(errors)
+    return MathieuChar(nu, q, None, float(values[0]))
 
 
 # --- small-q polynomial form, valid for m > 3 ---
@@ -408,7 +400,7 @@ def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
     """
     m = _check_m(m, branch)
     values, errors, windows = char_values(branch, m, q)
-    value = _first(values, errors)
+    _raise_first(errors)
     if q == 0.0:
         lo, vec = m - (branch is Branch.SE), np.ones(1)
     else:
@@ -421,7 +413,7 @@ def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
         coeffs[0] /= math.sqrt(2.0)
     if coeffs[np.argmax(np.abs(coeffs))] < 0:
         coeffs = -coeffs
-    return FourierCoeffs(branch, m, q, coeffs, coeffs.size, value)
+    return FourierCoeffs(branch, m, q, coeffs, coeffs.size, float(values[0]))
 
 
 def eval_angular(theta, coeffs: FourierCoeffs, delta: float = 0.0):

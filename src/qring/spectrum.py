@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mathieu
 from .errors import EvaluationError, ParameterError, SupercriticalError
-from .mathieu import Branch
+from .mathieu import Branch, _fail, _live, _raise_first
 from .params import MaterialSpec, SystemParams, ev_to_hartree, from_material, hartree_to_ev
 
 
@@ -77,19 +77,16 @@ def _check_delta(state: QuantumState, params: SystemParams):
         )
 
 
-def _fail(errors, mask, make):
-    """Give each row of mask that has no error yet the error make(i)."""
-    for i in mask.nonzero()[0]:
-        if errors[i] is None:
-            errors[i] = make(i)
-
-
-def _live(errors):
-    return np.array([err is None for err in errors], dtype=bool)
+def _branch_note(state: QuantumState) -> str:
+    """SpectrumRow.branch_note of state's rows that have no error."""
+    nu = 2.0 * (state.m + state.delta)
+    if nu % 2.0:  # nan where nu overflows; every row of such a state fails
+        return "fractional(merged)"
+    return f"integer({'a' if state.parity is Branch.CE else 'b'}_{int(nu)})"
 
 
 def _angular(state: QuantumState, q, delta, errors):
-    """E_theta = delta^2 - c/4, c and branch notes over arrays q and delta.
+    """E_theta = delta^2 - c/4 and c over arrays q and delta.
 
     Rows whose errors entry is set are skipped; rows that fail here get one.
     """
@@ -103,7 +100,6 @@ def _angular(state: QuantumState, q, delta, errors):
     _fail(errors, integer & (m_eff < low), lambda i: ParameterError(
         f"shifted order {m_eff[i]:.0f} out of range for {state.parity.value}"))
     c = np.full(nu.shape, np.nan)
-    notes = ["fractional(merged)"] * nu.size
     live = _live(errors)
     for rows, branch, order in ((integer & live, state.parity, m_eff),
                                 (~integer & live, None, nu)):
@@ -112,11 +108,8 @@ def _angular(state: QuantumState, q, delta, errors):
             c[rows], errs, _ = mathieu.char_values(branch, order[rows], q[rows])
             for i, err in zip(rows, errs):
                 errors[i] = err
-    letter = "a" if state.parity is Branch.CE else "b"
-    for i in (integer & _live(errors)).nonzero()[0]:
-        notes[i] = f"integer({letter}_{2 * int(m_eff[i])})"
     with np.errstate(over="ignore"):
-        return delta * delta - c / 4.0, c, notes
+        return delta * delta - c / 4.0, c
 
 
 def _radial(e_theta, params: SystemParams, delta, errors):
@@ -131,12 +124,12 @@ def _radial(e_theta, params: SystemParams, delta, errors):
 
 
 def _chain(state: QuantumState, params: SystemParams, q, delta, errors):
-    """(columns, notes) of energy() over arrays q and delta.
+    """The columns of energy() over arrays q and delta.
 
     params supplies A, B, C and mu. A row that fails gets its error, and nan
     in every column.
     """
-    e_theta, c, notes = _angular(state, q, delta, errors)
+    e_theta, c = _angular(state, q, delta, errors)
     eta, alpha = _radial(e_theta, params, delta, errors)
 
     root_arg = c / 4.0 + 2.0 * params.mu * params.B
@@ -166,12 +159,7 @@ def _chain(state: QuantumState, params: SystemParams, q, delta, errors):
     failed = ~_live(errors)
     cols = dict(q_mathieu=q, char_value=c, E_theta=e_theta, eta=eta, alpha=alpha,
                 lambda_eff=lam_eff, E=E_closed, correction=lam_eff - lam0)
-    return {k: np.where(failed, np.nan, v) for k, v in cols.items()}, notes
-
-
-def _first(errors):
-    if errors[0] is not None:
-        raise errors[0]
+    return {k: np.where(failed, np.nan, v) for k, v in cols.items()}
 
 
 def angular_eigenvalue(state: QuantumState, params: SystemParams):
@@ -184,9 +172,9 @@ def angular_eigenvalue(state: QuantumState, params: SystemParams):
     _check_delta(state, params)
     q = 4.0 * params.mu * params.D_theta
     errors = [None]
-    e_theta, c, notes = _angular(state, np.array([q]), np.array([params.delta]), errors)
-    _first(errors)
-    return float(e_theta[0]), float(c[0]), q, notes[0]
+    e_theta, c = _angular(state, np.array([q]), np.array([params.delta]), errors)
+    _raise_first(errors)
+    return float(e_theta[0]), float(c[0]), q, _branch_note(state)
 
 
 def radial_exponent(E_theta: float, params: SystemParams):
@@ -197,7 +185,7 @@ def radial_exponent(E_theta: float, params: SystemParams):
     """
     errors = [None]
     eta, alpha = _radial(np.array([E_theta]), params, np.array([params.delta]), errors)
-    _first(errors)
+    _raise_first(errors)
     return float(eta[0]), float(alpha[0])
 
 
@@ -211,16 +199,16 @@ def energy(state: QuantumState, params: SystemParams) -> SpectrumRow:
     _check_delta(state, params)
     errors = [None]
     q = np.array([4.0 * params.mu * params.D_theta])
-    cols, notes = _chain(state, params, q, np.array([params.delta]), errors)
-    _first(errors)
-    return SpectrumRow(state=state, branch_note=notes[0],
+    cols = _chain(state, params, q, np.array([params.delta]), errors)
+    _raise_first(errors)
+    return SpectrumRow(state=state, branch_note=_branch_note(state),
                        **{k: float(v[0]) for k, v in cols.items()})
 
 
 def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
     """qr_energy over arrays of dipole moment D and flux delta, broadcast.
 
-    delta defaults to state.delta. Returns (cols, notes, errors): cols maps
+    delta defaults to state.delta. Returns (cols, errors): cols maps
     the numeric SpectrumRow fields, e_hw0 and e_ev included, to arrays;
     errors[i] is row i's QringError, or None, and its columns are nan.
     """
@@ -242,19 +230,20 @@ def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
         except ParameterError as exc:
             errors[i] = exc
     if params is None:
-        return dict.fromkeys(_COLUMNS, np.full(D.shape, np.nan)), [""] * D.size, errors
-    cols, notes = _chain(state, params, 4.0 * params.mu * d_theta, delta, errors)
+        return dict.fromkeys(_COLUMNS, np.full(D.shape, np.nan)), errors
+    cols = _chain(state, params, 4.0 * params.mu * d_theta, delta, errors)
     cols["e_hw0"] = cols["E"] / ev_to_hartree(mat.hbar_omega0)
     cols["e_ev"] = hartree_to_ev(cols["E"])
-    return cols, notes, errors
+    return cols, errors
 
 
-def _rows(state: QuantumState, mat: MaterialSpec, D, cols, notes, errors):
+def _rows(state: QuantumState, mat: MaterialSpec, D, cols, errors):
     """SpectrumRows of state on mat over an array of D, from qr_energies' output."""
     keys = list(cols)
+    note = _branch_note(state)
     rows = []
-    for d, note, err, *values in zip(np.atleast_1d(D).tolist(), notes, errors,
-                                     *(cols[k].tolist() for k in keys)):
+    for d, err, *values in zip(np.atleast_1d(D).tolist(), errors,
+                               *(cols[k].tolist() for k in keys)):
         if err is not None:
             rows.append(SpectrumRow(state=state, material=mat.name, D=d, error=str(err)))
         else:
@@ -268,9 +257,9 @@ def qr_energy(state: QuantumState, mat: MaterialSpec, D: float) -> SpectrumRow:
 
     Adds energies in hbar*omega0 units and in eV to the row.
     """
-    cols, notes, errors = qr_energies(state, mat, D)
-    _first(errors)
-    return _rows(state, mat, D, cols, notes, errors)[0]
+    cols, errors = qr_energies(state, mat, D)
+    _raise_first(errors)
+    return _rows(state, mat, D, cols, errors)[0]
 
 
 def correction(state: QuantumState, mat: MaterialSpec, D: float) -> float:
@@ -289,7 +278,8 @@ def transition(
 
     Returns (dE_withD, dE_noD, rel_shift) with energies in hbar*omega0
     units. The two states must differ only in m. D may be an array: dE_withD
-    and rel_shift are then arrays over it, and the D = 0 pair is solved once.
+    and rel_shift are then arrays over it. Each state is solved once, over
+    D with the D = 0 reference put in front as row 0.
     """
     if state_hi.n_r != state_lo.n_r:
         raise ParameterError("transition requires equal n_r")
@@ -299,21 +289,18 @@ def transition(
         raise ParameterError("transition requires equal parity")
     if state_hi.m == state_lo.m:
         raise ParameterError("transition requires different m")
-    hi, _, hi_err = qr_energies(state_hi, mat, D)
-    lo, _, lo_err = qr_energies(state_lo, mat, D)
-    hi0, _, hi0_err = qr_energies(state_hi, mat, 0.0)
-    lo0, _, lo0_err = qr_energies(state_lo, mat, 0.0)
-    # raise what the scalar form would at the first D that fails
-    for err in (*hi_err[:1], *lo_err[:1], *hi0_err, *lo0_err):
-        if err is not None:
-            raise err
-    de_no = float(hi0["e_hw0"][0] - lo0["e_hw0"][0])
+    axis = np.append(0.0, D)
+    hi, hi_err = qr_energies(state_hi, mat, axis)
+    lo, lo_err = qr_energies(state_lo, mat, axis)
+    # raise what the scalar form would at the first D that fails: that D's
+    # pair, the reference pair, then the remaining pairs in D order
+    _raise_first([*hi_err[1:2], *lo_err[1:2], hi_err[0], lo_err[0]])
+    de = hi["e_hw0"] - lo["e_hw0"]
+    de_no = float(de[0])
     if de_no == 0.0:
         raise ParameterError("degenerate reference transition (dE = 0 at D = 0)")
-    for err in [e for pair in zip(hi_err, lo_err) for e in pair]:
-        if err is not None:
-            raise err
-    de_with = hi["e_hw0"] - lo["e_hw0"]
+    _raise_first(e for pair in zip(hi_err[1:], lo_err[1:]) for e in pair)
+    de_with = de[1:]
     if np.ndim(D) == 0:
         de_with = float(de_with[0])
     return de_with, de_no, (de_with - de_no) / de_no
@@ -350,7 +337,7 @@ class SweepConfig:
 def _groups(config: SweepConfig):
     """The sweep grid in output order, one (material, state) group at a time.
 
-    Yields (mat, state, D, cols, notes, errors); cols, notes and errors are
+    Yields (mat, state, D, cols, errors); cols and errors are
     qr_energies' output, reordered by a stable sort of D. Groups with equal
     (material name, parity, m, n_r, delta) are joined in input order first
     and carry the first one's mat and state, so the rows come in the order of
@@ -367,11 +354,9 @@ def _groups(config: SweepConfig):
         D = np.tile(d_values, len(runs))
         order = np.argsort(D, kind="stable")
         cols = {k: np.concatenate([run[0][k] for run in runs])[order] for k in runs[0][0]}
-        notes = [note for run in runs for note in run[1]]
-        errors = [err for run in runs for err in run[2]]
+        errors = [err for run in runs for err in run[1]]
         mat, state = parts[key][0]
-        yield (mat, state, D[order], cols, [notes[i] for i in order.tolist()],
-               [errors[i] for i in order.tolist()])
+        yield mat, state, D[order], cols, [errors[i] for i in order.tolist()]
 
 
 def sweep(config: SweepConfig) -> list:
@@ -382,6 +367,6 @@ def sweep(config: SweepConfig) -> list:
     input order.
     """
     rows = []
-    for mat, state, D, cols, notes, errors in _groups(config):
-        rows += _rows(state, mat, D, cols, notes, errors)
+    for mat, state, D, cols, errors in _groups(config):
+        rows += _rows(state, mat, D, cols, errors)
     return rows

@@ -137,7 +137,16 @@ def count_radial_nodes(spec: WaveSpec) -> int:
         return 0
     # all roots of the degree-n factor sit below rho ~ 4n + 2 beta
     rho = np.geomspace(1e-9, 4.0 * n + 2.0 * spec.beta + 20.0, 4096)
-    signs = np.sign(hyp1f1_poly(n, spec.beta, rho))
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = hyp1f1_poly(n, spec.beta, rho)
+    overflow = ~np.isfinite(poly)
+    if overflow.any():
+        # the recurrence overflows at large n_r; the signs left would miscount
+        raise EvaluationError(
+            f"node-count polynomial overflows at {int(overflow.sum())} of {rho.size} "
+            f"points for {spec.state}", term_trace=[("n_r", n)]
+        )
+    signs = np.sign(poly)
     keep = signs != 0
     return int(np.sum(np.abs(np.diff(signs[keep])) > 1))
 

@@ -299,7 +299,7 @@ def test_returned_pair_meets_residual_bound(m, q):
     if m:
         cases.append((Branch.SE, m))
     for branch, order in cases:
-        values, errors, windows = mathieu._solve(branch, np.array([order]), np.array([q]))
+        values, errors, windows = mathieu.char_values(branch, np.array([order]), np.array([q]))
         assert errors == [None]
         lo, vec = windows[0]
         at_bottom = branch is not None and lo == 0
@@ -385,6 +385,51 @@ def test_orders_past_the_truncation_cap_are_parameter_errors():
     assert fc.coeffs[-1] == 1.0 and not fc.coeffs[:-1].any() and fc.value == 131074.0 ** 2
     values, errors, _ = mathieu.char_values(Branch.CE, 1e160, 0.0)
     assert np.isnan(values[0]) and "overflows" in str(errors[0])
+
+
+_CAP = "(m, or nu/2 at fractional order) is above the largest solvable order 65536"
+_OVERFLOW = "(m, or nu/2 at fractional order): its characteristic value overflows a double"
+_Q_BIG = "|q| = 20000.0 exceeds truncation-validity bound 10000.0"
+
+
+@pytest.mark.parametrize("branch,rows", [
+    (branch, [(2.0, 0.7, None), (3.0, 0.0, None),
+              (3.0, math.nan, "q must be finite"),
+              (3.0, 2e4, _Q_BIG),
+              (70000.0, 1.0, f"order 70000.0 {_CAP}"),
+              (70000.0, -2e4, _Q_BIG),  # also above the order cap
+              (1e160, 0.0, f"order 1e+160 {_OVERFLOW}"),
+              (1e160, 0.5, f"order 1e+160 {_CAP}"),  # also overflows
+              (math.nan, 0.0, f"order nan {_OVERFLOW}"),
+              (math.nan, math.nan, "q must be finite")])  # also an overflowing order
+    for branch in (Branch.CE, Branch.SE)
+] + [(None, [
+    (1.5, 0.3, None), (2.5, 0.0, None),
+    (-1.0, 0.5, "fractional order must be positive and finite, got -1.0"),
+    (0.0, 0.5, "fractional order must be positive and finite, got 0.0"),
+    (math.nan, math.nan, "fractional order must be positive and finite, got nan"),  # and q
+    (math.inf, 0.0, "fractional order must be positive and finite, got inf"),
+    (4.0, 2e4, "nu = 4.0 is an even integer; use char_value"),  # and |q|
+    (1e160, 0.0, "nu = 1e+160 is an even integer; use char_value"),  # and overflows
+    (1.5, math.nan, "q must be finite"),
+    (1.5, -2e4, _Q_BIG),
+    (200001.0, 1.0, f"order 100000.5 {_CAP}"),
+    (200001.0, 2e4, _Q_BIG),  # also above the order cap
+])])
+def test_domain_rules_apply_in_order_within_one_batch(branch, rows):
+    # a row that breaks several rules gets the message of the first; the valid
+    # rows of the batch keep their scalar values, and no cast of an order warns
+    order, q, messages = zip(*rows)
+    values, errors, _ = mathieu.char_values(branch, np.array(order), np.array(q))
+    assert [None if err is None else str(err) for err in errors] == list(messages)
+    assert all(isinstance(err, ParameterError) for err in errors if err is not None)
+    for v, nu, x, message in zip(values, order, q, messages):
+        if message is None:
+            scalar = (char_value_fractional(nu, x) if branch is None
+                      else char_value(int(nu), branch, x))
+            assert v == scalar.value
+        else:
+            assert np.isnan(v)
 
 
 @pytest.mark.parametrize("m", [2048, 5000])

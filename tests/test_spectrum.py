@@ -26,6 +26,7 @@ from qring import (
     sweep,
     transition,
 )
+from qring import spectrum
 from qring.spectrum import qr_energies
 
 GAAS = get_material("GaAs")
@@ -87,7 +88,7 @@ def test_overflowing_routes_are_row_errors():
     # at delta = 6e153 beta = delta^2 / (2 mu) overflows: alpha and the chain
     # energy are inf while the closed-form energy is finite
     state = QuantumState(0, 0, Branch.CE)
-    cols, _, errors = qr_energies(state, GAAS, 0.0, delta=[0.25, 6e153])
+    cols, errors = qr_energies(state, GAAS, 0.0, delta=[0.25, 6e153])
     assert errors[0] is None and all(math.isfinite(v[0]) for v in cols.values())
     assert isinstance(errors[1], EvaluationError)
     assert "energy routes overflow" in str(errors[1])
@@ -149,6 +150,34 @@ def test_transition_over_an_array_of_d():
     assert de_with.size == rel.size == 0 and de_no == transition(hi, lo, GAAS, 0.0)[1]
     with pytest.raises(ParameterError):
         transition(hi, lo, replace(GAAS, hbar_omega0=-1.0), np.array([]))
+
+
+def test_transition_solves_each_state_once(monkeypatch):
+    # the D = 0 reference rides along as row 0 of each state's D array
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return qr_energies(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "qr_energies", counted)
+    hi, lo = QuantumState(0, 2, Branch.CE), QuantumState(0, 1, Branch.CE)
+    de_with, _, _ = transition(hi, lo, GAAS, np.linspace(0.0, 10.0, 11))
+    assert len(calls) == 2 and de_with.shape == (11,)
+
+
+def test_branch_notes_at_the_overflow_edge():
+    # 2 (m + delta) overflows to inf at delta = 1e308: every row fails, and
+    # naming the note of such a state must not raise either
+    states = (QuantumState(0, 1, Branch.CE, 1e308), QuantumState(0, 1, Branch.SE, 1.0),
+              QuantumState(0, 2, Branch.CE, 0.3))
+    rows = sweep(SweepConfig((GAAS,), states, (0.0, 5.0)))
+    notes = {}
+    for row in rows:
+        assert (row.error is not None) == (row.state.delta == 1e308)
+        notes.setdefault(row.state, set()).add(row.branch_note)
+    assert notes == {states[0]: {""}, states[1]: {"integer(b_4)"},
+                     states[2]: {"fractional(merged)"}}
 
 
 def test_ab_correction_zero_reference():
