@@ -308,52 +308,6 @@ def char_value_fractional(nu: float, q: float) -> MathieuChar:
 
 # --- small-q polynomial form, valid for m > 3 ---
 
-_NS = 5  # series kept through x^4, x = q^2
-
-
-def _pmul(a, b):
-    out = np.zeros(_NS)
-    for i in range(_NS):
-        if a[i] == 0.0:
-            continue
-        out[i:] += a[i] * b[: _NS - i]
-    return out
-
-
-def _pinv_shifted(delta_j, u):
-    # 1/(delta_j - u) mod x^_NS for a series u with u[0] = 0
-    w = u / delta_j
-    acc = np.zeros(_NS)
-    acc[0] = 1.0
-    term = acc.copy()
-    for _ in range(1, _NS):
-        term = _pmul(term, w)
-        acc = acc + term
-    return acc / delta_j
-
-
-def _cf_coeffs(nu: float):
-    """Coefficients (c2, c4, c6, c8) of lambda_nu(q) = nu^2 + sum c_{2k} q^{2k}.
-
-    Extracted order-by-order from the two-sided continued-fraction recursion
-    of the Fourier three-term recurrence, as truncated polynomial arithmetic
-    in x = q^2. Depth 4 suffices for orders through q^8.
-    """
-    chat = np.zeros(_NS)
-    xpoly = np.zeros(_NS)
-    xpoly[1] = 1.0
-    for _ in range(_NS):
-        total = np.zeros(_NS)
-        for s in (1.0, -1.0):
-            expr = np.zeros(_NS)
-            for depth in range(4, 0, -1):
-                delta_j = (nu + 2.0 * depth * s) ** 2 - nu * nu
-                expr = _pmul(xpoly, _pinv_shifted(delta_j, chat + expr))
-            total += expr
-        chat = -total
-    return chat[1], chat[2], chat[3], chat[4]
-
-
 def char_value_series(m: int, p: float) -> float:
     """Four-term small-p polynomial for the order-2m characteristic value.
 
@@ -376,15 +330,27 @@ def char_value_series(m: int, p: float) -> float:
 def series_p8_estimate(m: int, p: float) -> float:
     """Estimate of the first omitted term of char_value_series.
 
-    |c8(2m)| p^8 from the continued-fraction recursion, plus the a/b
-    splitting contribution when it lands exactly at order q^8 (2m = 8),
-    plus a floor of 4 ulp of the leading term: the series and any float64
-    reference value cannot be distinguished more finely than that.
+    c8 p^8, with c8 the q^8 coefficient of the series at order nu = 2m in
+    closed form,
+
+        c8 = (1469 nu^10 + 9144 nu^8 - 140354 nu^6 + 64228 nu^4 + 827565 nu^2
+              + 274748) / (8192 (nu^2-1)^7 (nu^2-4)^3 (nu^2-9) (nu^2-16)),
+
+    the next term of Abramowitz & Stegun 20.2.25, from the exact rational
+    expansion of the two-sided continued fraction of the Floquet recurrence.
+    It holds for nu^2 not in {1, 4, 9, 16} and is positive for nu >= 8. It is
+    evaluated in t = 1/nu^2, where no order overflows. Added to it are the a/b
+    splitting contribution when it lands exactly at order q^8 (2m = 8) and a
+    floor of 4 ulp of the leading term: the series and any float64 reference
+    value cannot be distinguished more finely than that.
     """
     if int(m) != m or m <= 3:
         raise ParameterError(f"series form requires integer m > 3, got {m}")
     m = int(m)
-    c8 = abs(_cf_coeffs(2.0 * m)[3])
+    t = 1.0 / (4.0 * m * m)
+    poly = ((((274748.0 * t + 827565.0) * t + 64228.0) * t - 140354.0) * t + 9144.0) * t + 1469.0
+    c8 = poly * t ** 7 / (8192.0 * (1.0 - t) ** 7 * (1.0 - 4.0 * t) ** 3
+                          * (1.0 - 9.0 * t) * (1.0 - 16.0 * t))
     if 2 * m == 8:
         # half of the leading-order a-b splitting 2 q^{2m}/(4^{2m-1}((2m-1)!)^2)
         c8 += 1.0 / (4.0 ** (2 * m - 1) * math.factorial(2 * m - 1) ** 2)

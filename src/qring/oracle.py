@@ -76,34 +76,29 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
     Solves -u'' - eta/r^2 u + 2 mu A r^2 u = eps u on r in (0, r_max] with
     Dirichlet walls, on offset grids r_j = (j+1/2) h so the 1/r^2 term never
     touches the singular point. Three grid levels, observed-order
-    extrapolation per eigenvalue.
+    extrapolation per eigenvalue. n_max is at most the coarsest grid's
+    1000 sites.
     """
     from scipy.linalg import eigh_tridiagonal  # scipy is needed only by the oracles
 
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    levels = (1000, 2000, 4000)
+    if not 1 <= n_max <= levels[0]:
+        raise ParameterError(f"n_max must be in 1..{levels[0]} (the coarsest grid), got {n_max}")
     beta = params.B + params.delta * params.delta / (2.0 * params.mu)
     eta = E_theta - 2.0 * params.mu * beta + 0.25
     if 1.0 - 4.0 * eta < 0.0:
         raise SupercriticalError(f"1 - 4 eta = {1.0 - 4.0 * eta} < 0")
-    a = params.a_length
-    r_max = 9.0 * a
-    levels = (1000, 2000, 4000)
+    r_max = 9.0 * params.a_length
 
-    def solve(N):
+    vals = []
+    for N in levels:  # the finest grid is solved with vectors, for the residual check
         h = r_max / N
         r = (np.arange(N) + 0.5) * h
         d = 2.0 / (h * h) - eta / r ** 2 + 2.0 * params.mu * params.A * r ** 2
         e = np.full(N - 1, -1.0 / (h * h))
-        return d, e
-
-    vals = []
-    for N in levels:
-        d, e = solve(N)
-        vals.append(
-            eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, n_max - 1))
-        )
-    v1, v2, v3 = vals
+        vals.append(eigh_tridiagonal(d, e, eigvals_only=N < levels[-1], select="i",
+                                     select_range=(0, n_max - 1)))
+    v1, v2, (v3, v) = vals
     extrap = np.empty(n_max)
     for i in range(n_max):
         d1, d2 = v2[i] - v1[i], v3[i] - v2[i]
@@ -113,13 +108,10 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
         order = math.log2(abs(d1) / abs(d2))
         extrap[i] = v3[i] + d2 / (2.0 ** order - 1.0)
 
-    # residual check on the finest grid
-    d, e = solve(levels[-1])
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n_max - 1))
     tv = d[:, None] * v
     tv[:-1] += e[:, None] * v[1:]
     tv[1:] += e[:, None] * v[:-1]
-    res = np.max(np.abs(tv - v * w[None, :]), axis=0)
+    res = np.max(np.abs(tv - v * v3[None, :]), axis=0)
     return FdSpectrum(
         grid_size=levels[-1],
         eigenvalues=extrap,

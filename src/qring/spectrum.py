@@ -208,13 +208,17 @@ def energy(state: QuantumState, params: SystemParams) -> SpectrumRow:
 def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
     """qr_energy over arrays of dipole moment D and flux delta, broadcast.
 
-    delta defaults to state.delta. Returns (cols, errors): cols maps
-    the numeric SpectrumRow fields, e_hw0 and e_ev included, to arrays;
-    errors[i] is row i's QringError, or None, and its columns are nan.
+    D and delta are scalars or 1-d; a broadcast shape of more dimensions
+    raises ParameterError. delta defaults to state.delta. Returns (cols,
+    errors): cols maps the numeric SpectrumRow fields, e_hw0 and e_ev
+    included, to arrays; errors[i] is row i's QringError, or None, and its
+    columns are nan.
     """
     D, delta = np.broadcast_arrays(np.atleast_1d(np.asarray(D, dtype=float)),
                                    np.asarray(state.delta if delta is None else delta,
                                               dtype=float))
+    if D.ndim > 1:
+        raise ParameterError(f"D and delta must be scalars or 1-d arrays, got shape {D.shape}")
     errors = [None] * D.size
     with np.errstate(over="ignore"):
         d_theta = D / mat.eps_r

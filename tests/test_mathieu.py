@@ -5,6 +5,7 @@ package itself never calls them); the acceptance suite separately pins
 the series and collocation routes.
 """
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -120,6 +121,45 @@ def test_fractional_large_order_matches_second_order():
         nu * nu + q * q / (2.0 * (nu * nu - 1.0)), abs=1e-9)
 
 
+def _c8_exact(nu):
+    """The q^8 coefficient of lambda_nu(q) that series_p8_estimate states, as an exact rational."""
+    n2 = Fraction(nu) ** 2
+    num = 1469 * n2**5 + 9144 * n2**4 - 140354 * n2**3 + 64228 * n2**2 + 827565 * n2 + 274748
+    return num / (8192 * (n2 - 1) ** 7 * (n2 - 4) ** 3 * (n2 - 9) * (n2 - 16))
+
+
+def _floquet_residual(nu, c, q, depth=6):
+    """nu^2 - c + q (R_1 + L_1) in exact rationals, R and L the two-sided
+    continued fractions A_{+-1}/A_0 of the Floquet recurrence
+    ((nu+2k)^2 - c) A_k + q (A_{k-1} + A_{k+1}) = 0, cut at depth sites."""
+    total = Fraction(nu) ** 2 - c
+    for side in (1, -1):
+        ratio = Fraction(0)
+        for k in range(depth, 0, -1):
+            ratio = -q / ((nu + 2 * side * k) ** 2 - c + q * ratio)
+        total += q * ratio
+    return total
+
+
+@pytest.mark.parametrize("nu, q", [(Fraction(8), Fraction(1, 1000)), (Fraction(9, 2), Fraction(1, 1000)),
+                                   (Fraction(33, 5), Fraction(1, 1000)), (Fraction(100), Fraction(1, 10))])
+def test_series_c8_cancels_the_floquet_residual_through_q8(nu, q):
+    # with c2..c6 of A&S 20.2.25 and the stated c8, the residual is O(q^10):
+    # halving q divides it by 2^10; a c8 off by 1e-9 leaves a q^8 term
+    n2 = nu * nu
+    c2 = 1 / (2 * (n2 - 1))
+    c4 = (5 * n2 + 7) / (32 * (n2 - 1) ** 3 * (n2 - 4))
+    c6 = (9 * n2**2 + 58 * n2 + 29) / (64 * (n2 - 1) ** 5 * (n2 - 4) * (n2 - 9))
+
+    def ratio(c8):
+        r = [_floquet_residual(nu, n2 + c2 * x**2 + c4 * x**4 + c6 * x**6 + c8 * x**8, x)
+             for x in (q, q / 2)]
+        return float(r[0] / r[1])
+
+    assert ratio(_c8_exact(nu)) == pytest.approx(1024.0, abs=1e-3)
+    assert abs(ratio(_c8_exact(nu) * (1 + Fraction(1, 10**9))) - 1024.0) > 100.0
+
+
 def test_series_estimate_positive_and_scales():
     for m in (4, 5, 6):
         e1 = series_p8_estimate(m, 0.5)
@@ -127,6 +167,14 @@ def test_series_estimate_positive_and_scales():
         assert e1 > 0
         # p^8 scaling, up to the floating-point floor term
         assert e2 >= e1
+    # beyond 2m = 8 the estimate is exactly c8 p^8 plus the 4-ulp floor
+    p = 1e4
+    for m in (50, 200, 2048, 65536):
+        expect = float(_c8_exact(2 * m)) * p**8 + 4.0 * float(np.spacing(4.0 * m * m))
+        assert series_p8_estimate(m, p) == pytest.approx(expect, rel=1e-12)
+    # in t = 1/nu^2 the closed form underflows at huge orders instead of overflowing
+    assert 0.0 <= series_p8_estimate(10**22, 1.0) < math.inf
+    assert 0.0 <= series_p8_estimate(10**150, 1.0) < math.inf
 
 
 def _ode_residual(coeffs, c, q):

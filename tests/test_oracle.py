@@ -88,6 +88,9 @@ def test_radial_requires_subcritical():
         radial_fd_eigs(1.0, params, 2)
     with pytest.raises(ParameterError):
         radial_fd_eigs(0.0, params, 0)
+    # more levels than the coarsest grid's 1000 sites
+    with pytest.raises(ParameterError, match="coarsest grid"):
+        radial_fd_eigs(0.0, params, 1001)
 
 
 def test_convergence_report_clean_order2():

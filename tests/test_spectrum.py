@@ -97,6 +97,16 @@ def test_overflowing_routes_are_row_errors():
         qr_energy(replace(state, delta=6e153), GAAS, 0.0)
 
 
+def test_qr_energies_rejects_more_than_one_dimension():
+    state = QuantumState(0, 1, Branch.CE)
+    grid = np.array([[0.0, 1.0], [2.0, 3.0]])
+    for D, delta in ((grid, None), (-grid, None), ([0.0, 1.0], np.array([[0.1], [0.2]]))):
+        with pytest.raises(ParameterError, match="1-d"):
+            qr_energies(state, GAAS, D, delta)
+    cols, errors = qr_energies(state, GAAS, [0.0, -1.0], 0.1)
+    assert cols["E"].shape == (2,) and isinstance(errors[1], ParameterError)
+
+
 def test_correction_sign_and_small_d_scaling():
     c1 = correction(QuantumState(0, 0, Branch.CE), GAAS, 0.1)
     c2 = correction(QuantumState(0, 0, Branch.CE), GAAS, 0.2)
