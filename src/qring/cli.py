@@ -2,7 +2,11 @@
 
 Deterministic CSV to stdout (or a fixed-width table with --pretty),
 diagnostics to stderr. Exit codes: 0 success, 1 usage, 2 numerics,
-3 domain. Config files are flat key=value, merged under explicit flags.
+3 domain. --config FILE (or --config=FILE) reads flat key=value lines,
+merged under explicit flags; keys are flag names (D_range or D-range). No
+flag is abbreviated, in a file or in argv. In argv, a value that starts with
+'-' but is not a plain number needs the --flag=value form:
+--delta-range=-0.5:0.5:0.25.
 """
 from __future__ import annotations
 
@@ -97,11 +101,12 @@ def _emit(args, header, groups):
 
 
 def _build_parser():
-    top = _Parser(prog="qring", description=__doc__)
+    # allow_abbrev=False: --d must not stand for --delta, in argv or in a config file
+    top = _Parser(prog="qring", description=__doc__, allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file, merged under flags")
         p.add_argument("--pretty", action="store_true", help="fixed-width table output")
         return p
@@ -158,44 +163,6 @@ def _build_parser():
     return top
 
 
-def _apply_config(parser, argv):
-    """Merge config-file keys as synthesized flags before the user's flags."""
-    if not argv or argv[0].startswith("-"):
-        return argv
-    try:
-        cfg_idx = argv.index("--config")
-        path = argv[cfg_idx + 1]
-    except ValueError:
-        return argv
-    except IndexError:
-        raise UsageError("--config needs a path") from None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            pairs = parse_config(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from None
-
-    # which flags does this subcommand accept?
-    sub_actions = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    subparser = sub_actions.choices.get(argv[0])
-    if subparser is None:
-        return argv
-    known = {s for action in subparser._actions for s in action.option_strings}
-    tokens = []
-    for key, value in pairs.items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in known:
-            raise UsageError(f"config {path!r}: unknown key {key!r}")
-        if flag == "--pretty":
-            if value.lower() in ("1", "true", "yes"):
-                tokens.append(flag)
-            continue
-        tokens.extend([flag, value])
-    return [argv[0]] + tokens + argv[1:]
-
-
 def _materials_of(args):
     mats = args.material if args.material else [get_material("GaAs")]
     if getattr(args, "hbar_omega0", None) is not None:
@@ -203,14 +170,10 @@ def _materials_of(args):
     return mats
 
 
-def _states_of(args, delta, nr_list=None):
-    out = []
-    for parity in args.parity:
-        for m in args.m:
-            if parity is Branch.SE and m == 0:
-                continue  # only ce supports m = 0
-            for nr in (nr_list if nr_list is not None else [0]):
-                out.append(QuantumState(n_r=nr, m=m, parity=parity, delta=delta))
+def _states(parities, ms, nrs, delta):
+    """The states over parity, then m, then n_r; se has no m = 0."""
+    out = [QuantumState(nr, m, parity, delta) for parity in parities for m in ms
+           if not (parity is Branch.SE and m == 0) for nr in nrs]
     if not out:
         raise UsageError("no valid (m, parity) combinations requested")
     return out
@@ -234,16 +197,17 @@ def _sweep_table(args, mats, states, d_values, header):
 
 
 def _cmd_energies(args):
-    return _sweep_table(args, _materials_of(args), _states_of(args, args.delta, nr_list=args.nr),
-                        [args.D], ["material", "D", "delta", "nr", "m", "parity", "p",
-                                   "char_value", "alpha", "lambda_eff", "E_hw0", "E_eV"])
+    return _sweep_table(args, _materials_of(args),
+                        _states(args.parity, args.m, args.nr, args.delta), [args.D],
+                        ["material", "D", "delta", "nr", "m", "parity", "p", "char_value",
+                         "alpha", "lambda_eff", "E_hw0", "E_eV"])
 
 
 def _cmd_corrections(args):
     d_values = args.d_range if args.d_range is not None else _floats_from_range("0:10:0.1")
-    return _sweep_table(args, _materials_of(args), _states_of(args, args.delta), d_values,
-                        ["material", "D", "p", "m", "parity", "delta", "char_value",
-                         "lambda_eff", "correction"])
+    return _sweep_table(args, _materials_of(args), _states(args.parity, args.m, [0], args.delta),
+                        d_values, ["material", "D", "p", "m", "parity", "delta", "char_value",
+                                   "lambda_eff", "correction"])
 
 
 def _cmd_transitions(args):
@@ -267,7 +231,7 @@ def _cmd_transitions(args):
 def _cmd_ab_sweep(args):
     mats = _materials_of(args)
     deltas = args.delta_range if args.delta_range is not None else _floats_from_range("0:1:0.02")
-    states = _states_of(args, 0.0)
+    states = _states(args.parity, args.m, [0], 0.0)
     groups = []
     for mat in sorted(mats, key=lambda m: m.name):
         for base in states:
@@ -318,19 +282,15 @@ def _verify_angular():
             params = from_material(gaas, 0.0, delta)
             # build params with the exact q requested
             params = replace(params, D_theta=p / (4.0 * params.mu))
-            for parity in (Branch.CE, Branch.SE):
-                for m in range(4):
-                    if parity is Branch.SE and m == 0:
-                        continue
-                    state = QuantumState(0, m, parity, delta)
-                    e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
-                    ests = []
-                    for fd in fds:
-                        i = int(np.argmin(np.abs(fd.eigenvalues - e_theta)))
-                        ests.append(fd.eigenvalues[i])
-                    rep = oracle.convergence_report(ests)
-                    worst = max(worst, abs(rep.extrapolated - e_theta))
-                    cases += 1
+            for state in _states((Branch.CE, Branch.SE), range(4), [0], delta):
+                e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
+                ests = []
+                for fd in fds:
+                    i = int(np.argmin(np.abs(fd.eigenvalues - e_theta)))
+                    ests.append(fd.eigenvalues[i])
+                rep = oracle.convergence_report(ests)
+                worst = max(worst, abs(rep.extrapolated - e_theta))
+                cases += 1
     return cases, worst, 1e-8
 
 
@@ -341,18 +301,14 @@ def _verify_radial():
     for d in (0.0, 5.0, 10.0):
         params = from_material(gaas, d, 0.0)
         a2 = params.a_length ** 2
-        for parity in (Branch.CE, Branch.SE):
-            for m in range(3):
-                if parity is Branch.SE and m == 0:
-                    continue
-                state = QuantumState(0, m, parity, 0.0)
-                e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
-                fd = oracle.radial_fd_eigs(e_theta, params, 3)
-                _, alpha = spectrum.radial_exponent(e_theta, params)
-                for nr in range(3):
-                    eps = (4 * nr + 4 * alpha + 1) / a2
-                    worst = max(worst, abs(fd.eigenvalues[nr] - eps) / eps)
-                    cases += 1
+        for state in _states((Branch.CE, Branch.SE), range(3), [0], 0.0):
+            e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
+            fd = oracle.radial_fd_eigs(e_theta, params, 3)
+            _, alpha = spectrum.radial_exponent(e_theta, params)
+            for nr in range(3):
+                eps = (4 * nr + 4 * alpha + 1) / a2
+                worst = max(worst, abs(fd.eigenvalues[nr] - eps) / eps)
+                cases += 1
     return cases, worst, 1e-6
 
 
@@ -372,16 +328,11 @@ def _verify_normalization():
     worst = 0.0
     cases = 0
     for d in (0.0, 10.0):
-        for parity in (Branch.CE, Branch.SE):
-            for m in (0, 1):
-                if parity is Branch.SE and m == 0:
-                    continue
-                for nr in (0, 2):
-                    state = QuantumState(nr, m, parity, 0.0)
-                    spec = wavefun.make_wave(state, from_material(gaas, d, 0.0))
-                    n_quad = wavefun.normalize_numeric(spec)
-                    worst = max(worst, abs((spec.N / n_quad) ** 2 - 1.0))
-                    cases += 1
+        for state in _states((Branch.CE, Branch.SE), (0, 1), (0, 2), 0.0):
+            spec = wavefun.make_wave(state, from_material(gaas, d, 0.0))
+            n_quad = wavefun.normalize_numeric(spec)
+            worst = max(worst, abs((spec.N / n_quad) ** 2 - 1.0))
+            cases += 1
     return cases, worst, 1e-9
 
 
@@ -411,11 +362,32 @@ _COMMANDS = {
 }
 
 
-def run(argv) -> int:
-    parser = _build_parser()
+def _parse(parser, argv):
+    """Parse argv, then again with each --config key as a --key=value token before it."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     try:
-        argv = _apply_config(parser, list(argv))
-        args = parser.parse_args(argv)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            pairs = parse_config(fh.read())
+    except OSError as exc:
+        raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
+    tokens = []
+    for key, value in pairs.items():
+        flag = "--" + key.replace("_", "-")
+        if flag != "--pretty":
+            tokens.append(f"{flag}={value}")  # one token: the value may start with '-'
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+    try:
+        return parser.parse_args([args.command, *tokens, *argv[1:]])
+    except UsageError as exc:
+        raise UsageError(f"config {args.config!r}: {exc}") from None
+
+
+def run(argv) -> int:
+    try:
+        args = _parse(_build_parser(), list(argv))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"qring: {exc}", file=sys.stderr)

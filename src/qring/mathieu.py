@@ -308,22 +308,27 @@ def char_value_fractional(nu: float, q: float) -> MathieuChar:
 
 # --- small-q polynomial form, valid for m > 3 ---
 
+def _series_order(m) -> int:
+    if not 3 < m <= _ORDER_MAX or int(m) != m:
+        raise ParameterError(f"series form requires integer 3 < m <= {_ORDER_MAX:.6g}, got {m}")
+    return int(m)
+
+
 def char_value_series(m: int, p: float) -> float:
     """Four-term small-p polynomial for the order-2m characteristic value.
 
     Valid for m > 3, where the a/b pair is degenerate through the retained
-    orders. Truncation error is O(p^8); see series_p8_estimate.
+    orders. Truncation error is O(p^8); see series_p8_estimate. Written in
+    t = 1/(4m^2 - 1), no term overflows up to _ORDER_MAX.
     """
-    if int(m) != m or m <= 3:
-        raise ParameterError(f"series form requires integer m > 3, got {m}")
-    m = int(m)
-    n1 = 4 * m * m - 1
+    m = _series_order(m)
+    t = 1.0 / (4.0 * m * m - 1.0)
     return (
         4.0 * m * m
-        + p * p / (2.0 * n1)
-        + (20.0 * m * m + 7.0) * p ** 4 / (32.0 * n1 ** 3 * (n1 - 3))
-        + (144.0 * m ** 4 + 232.0 * m * m + 29.0) * p ** 6
-        / (64.0 * n1 ** 5 * (n1 - 3) * (n1 - 8))
+        + p * p * t / 2.0
+        + (5.0 + 12.0 * t) * t ** 3 * p ** 4 / (32.0 * (1.0 - 3.0 * t))
+        + ((96.0 * t + 76.0) * t + 9.0) * t ** 5 * p ** 6
+        / (64.0 * (1.0 - 3.0 * t) * (1.0 - 8.0 * t))
     )
 
 
@@ -344,9 +349,7 @@ def series_p8_estimate(m: int, p: float) -> float:
     floor of 4 ulp of the leading term: the series and any float64 reference
     value cannot be distinguished more finely than that.
     """
-    if int(m) != m or m <= 3:
-        raise ParameterError(f"series form requires integer m > 3, got {m}")
-    m = int(m)
+    m = _series_order(m)
     t = 1.0 / (4.0 * m * m)
     poly = ((((274748.0 * t + 827565.0) * t + 64228.0) * t - 140354.0) * t + 9144.0) * t + 1469.0
     c8 = poly * t ** 7 / (8192.0 * (1.0 - t) ** 7 * (1.0 - 4.0 * t) ** 3

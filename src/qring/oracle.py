@@ -75,9 +75,10 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
 
     Solves -u'' - eta/r^2 u + 2 mu A r^2 u = eps u on r in (0, r_max] with
     Dirichlet walls, on offset grids r_j = (j+1/2) h so the 1/r^2 term never
-    touches the singular point. Three grid levels, observed-order
-    extrapolation per eigenvalue. n_max is at most the coarsest grid's
-    1000 sites.
+    touches the singular point. Three grid levels; each eigenvalue is
+    convergence_report's value over them, so a level whose differences do
+    not contract keeps its finest-grid value. n_max is at most the coarsest
+    grid's 1000 sites.
     """
     from scipy.linalg import eigh_tridiagonal  # scipy is needed only by the oracles
 
@@ -99,14 +100,7 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
         vals.append(eigh_tridiagonal(d, e, eigvals_only=N < levels[-1], select="i",
                                      select_range=(0, n_max - 1)))
     v1, v2, (v3, v) = vals
-    extrap = np.empty(n_max)
-    for i in range(n_max):
-        d1, d2 = v2[i] - v1[i], v3[i] - v2[i]
-        if d2 == 0.0 or d1 == 0.0 or d1 * d2 <= 0:
-            extrap[i] = v3[i]
-            continue
-        order = math.log2(abs(d1) / abs(d2))
-        extrap[i] = v3[i] + d2 / (2.0 ** order - 1.0)
+    extrap = np.array([convergence_report(level).extrapolated for level in zip(v1, v2, v3)])
 
     tv = d[:, None] * v
     tv[:-1] += e[:, None] * v[1:]

@@ -419,12 +419,58 @@ def test_config_unknown_key(tmp_path):
     cfg.write_text("florb=1\n")
     code, _, err = _run(["energies", "--config", str(cfg)])
     assert code == 1
-    assert "florb" in err
+    assert "florb" in err and str(cfg) in err
 
 
 def test_config_missing_file():
-    code, _, err = _run(["energies", "--config", "/no/such/file.cfg"])
-    assert code == 1
+    for argv in (["energies", "--config", "/no/such/file.cfg"],
+                 ["energies", "--config=/no/such/file.cfg"]):
+        code, out, err = _run(argv)
+        assert code == 1 and out == "" and "/no/such/file.cfg" in err, argv
+
+
+def test_flags_and_config_keys_are_never_abbreviated(tmp_path):
+    # a prefix used to stand for the one flag it began: --d set delta, not D
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 2\n")
+    abbreviated = tmp_path / "abbreviated.cfg"
+    abbreviated.write_text("d = 5\n")
+    for argv in (["energies", "--conf", str(cfg)],
+                 ["energies", "--d", "5"],
+                 ["corrections", "--del", "0.25"],
+                 ["energies", "--mat", "CdSe"],
+                 ["energies", "--config", str(abbreviated)]):
+        code, out, err = _run(argv)
+        assert code == 1 and out == "", argv
+    assert "--d=5" in err and str(abbreviated) in err
+
+
+def test_config_values_may_start_with_a_dash(tmp_path):
+    cfg = tmp_path / "flux.cfg"
+    cfg.write_text("delta_range = -0.5:0.5:0.25\nm = 1\n")
+    code, out, err = _run(["ab-sweep", "--config", str(cfg)])
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["delta"] for row in rows] == ["-0.5", "-0.25", "0", "0.25", "0.5"]
+    assert {row["D"] for row in rows} == {"0"} and {row["m"] for row in rows} == {"1"}
+    assert _run(["ab-sweep", "--delta-range=-0.5:0.5:0.25", "--m", "1"]) == (code, out, err)
+
+
+def test_material_failure_is_a_warning_on_every_row():
+    # hbar_omega0 = 1e300 overflows A, so the material fails before any solve
+    code, out, err = _run(["energies", "--hbar-omega0", "1e300", "--m", "0,1"])
+    assert code == 0 and err.count("warning:") == 2
+    assert err.count("SystemParams fields must be finite") == 2
+    assert [row[6:] for row in csv.reader(io.StringIO(out))][1:] == [[""] * 6] * 2
+    code, out, err = _run(["corrections", "--hbar-omega0", "1e300", "--D-range", "0:1:0.5"])
+    assert code == 0 and err.count("SystemParams fields must be finite") == 3
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[1] for row in rows] == ["0", "0.5", "1"]
+    assert all(row[2] == "" and row[6:] == [""] * 3 for row in rows)
+    # transitions and ab-sweep raise a row's error
+    for command in ("transitions", "ab-sweep"):
+        code, out, err = _run([command, "--hbar-omega0", "1e300"])
+        assert code == 3 and out == "" and "SystemParams fields must be finite" in err
 
 
 def test_float_range_parsing():

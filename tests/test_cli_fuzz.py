@@ -2,8 +2,10 @@
 
 Every argv built from the subcommands' own flags and a fixed list of
 awkward values must end in exit code 0, 1, 2 or 3 without raising, and a
-successful run must print no non-finite number. Ranges in the value list
-have at most 10 points and --m / --nr stay at 0 or 1, so no case runs long.
+successful run must print no non-finite number. A config file that holds
+the same flags as keys must give the same exit code and stdout. Ranges in
+the value list have at most 10 points and --m / --nr stay at 0 or 1, so no
+case runs long.
 """
 import csv
 import io
@@ -27,6 +29,13 @@ _VALUES = ["0", "1", "-1", "2.5", "1e6", "nan", "inf", "x", "ce", "se", "GaAs",
            "0,1", "0:1:0.5", "0:inf:1", "1:0:1"]
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
@@ -42,14 +51,30 @@ def _argvs(draw):
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(_argvs())
 def test_any_argv_keeps_the_exit_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run(argv)
-    assert code in (0, 1, 2, 3), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    code, text, err = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err
     if code == 0:
-        text = out.getvalue()
         rows = ([line.split() for line in text.splitlines()] if "--pretty" in argv
                 else csv.reader(io.StringIO(text)))
         cells = {cell.lower() for row in rows for cell in row}
         assert not cells & {"nan", "inf", "-inf"}, argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_argvs(), st.booleans())
+def test_a_config_file_acts_as_its_flags(tmp_path_factory, argv, joined):
+    # each drawn flag as one key = value line, in the drawn order
+    command, flags = argv[0], argv[1:]
+    lines, i = [], 0
+    while i < len(flags):
+        if flags[i] == "--pretty":
+            lines.append("pretty = true")
+            i += 1
+        else:
+            lines.append(f"{flags[i][2:]} = {flags[i + 1]}")
+            i += 2
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    config = [f"--config={path}"] if joined else ["--config", str(path)]
+    assert _run([command, *config])[:2] == _run(argv)[:2], lines

@@ -19,10 +19,14 @@ def test_every_config_has_a_recipe():
     assert len(RECIPES) == 8
 
 
-@pytest.mark.parametrize("fig", sorted(RECIPES))
-def test_figure_regenerates(fig):
+# both spellings of the flag read the file: --config PATH and --config=PATH
+@pytest.mark.parametrize("fig, joined", [
+    *(pytest.param(fig, False, id=fig) for fig in sorted(RECIPES)),
+    *(pytest.param(fig, True, id=f"{fig}-equals") for fig in sorted(RECIPES))])
+def test_figure_regenerates(fig, joined):
+    path = str(FIGURES / f"{fig}.cfg")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run([RECIPES[fig], "--config", str(FIGURES / f"{fig}.cfg")])
+        code = run([RECIPES[fig], *([f"--config={path}"] if joined else ["--config", path])])
     assert code == 0 and err.getvalue() == ""
     assert out.getvalue().encode() == (FIGURES / f"{fig}.csv").read_bytes()

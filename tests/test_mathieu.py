@@ -177,6 +177,31 @@ def test_series_estimate_positive_and_scales():
     assert 0.0 <= series_p8_estimate(10**150, 1.0) < math.inf
 
 
+def _series_exact(m, p):
+    """char_value_series' four terms (A&S 20.2.25 at order 2m) as an exact rational."""
+    m, p = Fraction(m), Fraction(p)
+    n1 = 4 * m * m - 1
+    return (4 * m * m + p * p / (2 * n1) + (20 * m * m + 7) * p**4 / (32 * n1**3 * (n1 - 3))
+            + (144 * m**4 + 232 * m * m + 29) * p**6 / (64 * n1**5 * (n1 - 3) * (n1 - 8)))
+
+
+@pytest.mark.parametrize("m", [4, 5, 100, 10**31, 10**77, 10**153, int(mathieu._ORDER_MAX)],
+                         ids=lambda m: f"{m:.3g}")
+def test_series_is_finite_up_to_the_largest_order(m):
+    # the q^4 and q^6 terms used to overflow in n1^3 and n1^5 from m ~ 2e30
+    for p in (0.5, 3.0):
+        got = char_value_series(m, p)
+        assert abs(Fraction(got) / _series_exact(m, p) - 1) <= 1e-15
+        assert math.isfinite(series_p8_estimate(m, p))
+
+
+def test_series_rejects_orders_past_the_largest():
+    for series in (char_value_series, series_p8_estimate):
+        for m in (10**154, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="3 < m <="):
+                series(m, 0.5)
+
+
 def _ode_residual(coeffs, c, q):
     """Max residual of 4 T'' + (c - 2 q cos(theta)) T over a theta grid."""
     th = np.linspace(0.0, 2 * np.pi, 181)

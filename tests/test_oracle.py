@@ -79,6 +79,22 @@ def test_radial_ladder_from_matrix():
     assert np.max(fd.residuals) < 1e-6 * np.max(np.abs(fd.eigenvalues))
 
 
+def test_radial_levels_that_do_not_contract_keep_the_finest_grid(monkeypatch):
+    # differences 1.0 then 1.5 grow: an extrapolation would move away from every grid
+    import scipy.linalg
+
+    levels = iter([1.0, 2.0, 3.5])
+
+    def eigh_tridiagonal(d, e, eigvals_only, select, select_range):
+        w = np.array([next(levels)])
+        return w if eigvals_only else (w, np.eye(len(d), 1))
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", eigh_tridiagonal)
+    params = from_material(GAAS, 0.0, 0.0)
+    e_theta, _, _, _ = angular_eigenvalue(QuantumState(0, 0, Branch.CE), params)
+    assert radial_fd_eigs(e_theta, params, 1).eigenvalues.tolist() == [3.5]
+
+
 def test_radial_requires_subcritical():
     from qring import SupercriticalError, SystemParams
 

@@ -107,6 +107,16 @@ def test_qr_energies_rejects_more_than_one_dimension():
     assert cols["E"].shape == (2,) and isinstance(errors[1], ParameterError)
 
 
+def test_material_failure_is_an_error_on_every_row():
+    # hbar_omega0 = 1e300 overflows A, so the material fails before any solve
+    state = QuantumState(0, 1, Branch.CE)
+    cols, errors = qr_energies(state, replace(GAAS, hbar_omega0=1e300), [0.0, 1.0, 5.0])
+    assert len(errors) == 3 and all(isinstance(e, ParameterError) for e in errors)
+    assert "must be finite" in str(errors[0])
+    assert set(cols) == set(qr_energies(state, GAAS, 0.0)[0])
+    assert all(c.shape == (3,) and np.isnan(c).all() for c in cols.values())
+
+
 def test_correction_sign_and_small_d_scaling():
     c1 = correction(QuantumState(0, 0, Branch.CE), GAAS, 0.1)
     c2 = correction(QuantumState(0, 0, Branch.CE), GAAS, 0.2)
