@@ -23,7 +23,7 @@ from . import oracle, spectrum, wavefun
 from .errors import DomainError, NumericsError, QringError, UsageError
 from .mathieu import Branch, _raise_first, char_value, char_value_series, series_p8_estimate
 from .params import builtin_materials, from_material, get_material, parse_config
-from .spectrum import QuantumState, SweepConfig, qr_energies, transition
+from .spectrum import QuantumState, SweepConfig, transition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,11 +234,10 @@ def _cmd_ab_sweep(args):
     states = _states(args.parity, args.m, [0], 0.0)
     groups = []
     for mat in sorted(mats, key=lambda m: m.name):
-        for base in states:
-            # ab_correction(base, mat, d, D) over the flux axis; row 0 is delta = 0
-            cols, errors = qr_energies(base, mat, args.D, [0.0, *deltas])
-            _raise_first(errors)
-            lam = cols["lambda_eff"]
+        # ab_correction(base, mat, d, D) over the flux axis, all states at once; row 0 is delta = 0
+        cols, errors = spectrum._energies(states, mat, args.D, [0.0, *deltas])
+        _raise_first(errors)
+        for base, lam in zip(states, cols["lambda_eff"].reshape(len(states), -1)):
             groups.append([mat.name, args.D, base.m, base.parity.value, np.array(deltas),
                            lam[1:], lam[1:] - lam[0]])
     _emit(args, ["material", "D", "m", "parity", "delta",

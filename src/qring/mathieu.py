@@ -8,8 +8,8 @@ Floquet exponent nu couples the shifted lattice exp(i(nu+2k)z), k in Z.
 
 All three are solved by one kernel over arrays of order and q. It cuts a
 window of 2h+1 sites around the site of the wanted mode (clipped at the
-bottom of the cosine and sine lattices), stacks the windows of all rows into
-one numpy eigh call, takes the eigenvector that continues the q = 0 mode, and
+bottom of the cosine and sine lattices), stacks the windows of the rows into
+numpy eigh calls, takes the eigenvector that continues the q = 0 mode, and
 refines its value by one long-double Rayleigh quotient. A row is accepted
 when
 
@@ -23,13 +23,17 @@ when
   the value is the wanted one in sorted order (Barth, Martin & Wilkinson,
   Numer. Math. 9, 1967); the count takes no eigensolve.
 
-Rows that fail are solved again, alone, on a window of twice the half-width,
-up to a cap. The first window has 5 sites on each side of the wanted one on
-the cosine and sine lattices, where a low order's window is clipped at k = 0
-and reaches 10 sites above it, and 10 on the Floquet lattice, which the window
-cuts at both ends. The window does not grow with the order, so any order up
-to 2**16 solves at the same cost; higher orders at q != 0 are refused, as the
-Sturm count runs over every lower site. At q = 0 every order is exact.
+Rows that fail are solved again on a window of twice the half-width; past a cap
+they get a ConvergenceError. The first window has 5 sites on each side of the
+wanted one on the cosine and sine lattices, where a low order's window is
+clipped at k = 0 and reaches 10 sites above it, and 10 on the Floquet lattice,
+which the window cuts at both ends. The window does not grow with the order, so
+any order up to 2**16 solves at the same cost; higher orders at q != 0 are
+refused (the Sturm count runs over every lower site). q = 0 is exact.
+
+Each distinct (order, q) of a call is solved once (at non-integer flux the ce
+and se labels of one m share it), in equal stacks of at most 2**18 entries: a
+1,000-row axis of 11-site windows fits one; 2**20 added 14 MB to a flux sweep.
 """
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ _HALF_START_FLOQUET = 10  # first window half-width on the Floquet lattice
 _HALF_CAP = 640  # largest half-width tried before a ConvergenceError
 _ORDER_CAP = 1 << 16  # largest m (nu/2) at q != 0: the Sturm count runs over every lower site
 _ORDER_MAX = 0.5 * math.sqrt(np.finfo(float).max)  # largest m (nu/2) whose (2m)^2 is finite
-_STACK_ENTRIES = 1 << 20  # array entries per stack of rows solved together (8 MB)
+_STACK_ENTRIES = 1 << 18  # array entries per stack of rows solved together (2 MB)
 _TRUNC_TOL = 1e-12  # residual bound |q| * tail on the characteristic value
 _TAIL_TOL = 1e-14  # outermost coefficient relative to the largest
 _Q_BOUND = 1e4  # truncation-validity bound for |q|
@@ -213,10 +217,8 @@ def char_values(branch: Optional[Branch], order, q):
     is None. windows[i] is row i's (first site, unit vector), None where
     q = 0 or the row failed.
 
-    Rows at q != 0 are solved with one stacked eigh per window size (see the
-    module docstring); the rows that fail are solved again on a window of
-    twice the half-width, and a row still failing at the cap gets a
-    ConvergenceError.
+    Rows at q != 0 are solved as the module docstring describes; rows that
+    repeat an (order, q) get the value, error and window of its one solve.
     """
     order, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(np.asarray(q, dtype=float)))
     half = order / 2.0 if branch is None else order
@@ -248,7 +250,10 @@ def char_values(branch: Optional[Branch], order, q):
     values[still] = (order[still] if branch is None else 2.0 * order[still]) ** 2
 
     previous = np.full(q.size, np.nan)  # each row's value on its last window but one
-    todo = (live & (q != 0.0)).nonzero()[0]
+    todo = dst = src = (live & (q != 0.0)).nonzero()[0]  # row dst[i] takes src[i]'s solve
+    if dst.size > 1:  # solve each distinct (order, q) once; a single row skips the search
+        _, first, inv = np.unique(order[dst] + 1j * q[dst], return_index=True, return_inverse=True)
+        todo, src = dst[first], dst[first][inv]
     h = _HALF_START_FLOQUET if branch is None else _HALF_START
     while todo.size:
         if h > _HALF_CAP:
@@ -263,6 +268,7 @@ def char_values(branch: Optional[Branch], order, q):
             break
         failed = []
         step = max(1, _STACK_ENTRIES // (2 * h + 1) ** 2)
+        step = -(-todo.size // -(-todo.size // step))  # as few stacks as fit, of even size
         for start in range(0, todo.size, step):
             rows = todo[start:start + step]
             value, lo, vec, tail_ok, label_ok = _window(branch, order[rows], q[rows], h)
@@ -274,6 +280,9 @@ def char_values(branch: Optional[Branch], order, q):
                 windows[rows[j]] = (int(lo[j]), vec[j])
         todo = np.concatenate(failed)
         h *= 2
+    values[dst] = values[src]
+    for i, j in zip(dst.tolist(), src.tolist()):
+        errors[i], windows[i] = errors[j], windows[j]
     return values, errors, windows
 
 

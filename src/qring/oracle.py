@@ -76,9 +76,9 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
     Solves -u'' - eta/r^2 u + 2 mu A r^2 u = eps u on r in (0, r_max] with
     Dirichlet walls, on offset grids r_j = (j+1/2) h so the 1/r^2 term never
     touches the singular point. Three grid levels; each eigenvalue is
-    convergence_report's value over them, so a level whose differences do
-    not contract keeps its finest-grid value. n_max is at most the coarsest
-    grid's 1000 sites.
+    convergence_report's value over them, up to the first level whose observed
+    order leaves [1.5, 2.5] around the scheme's 2: from there up, levels keep
+    their finest-grid value and so stay ascending. n_max is at most 1000.
     """
     from scipy.linalg import eigh_tridiagonal  # scipy is needed only by the oracles
 
@@ -100,7 +100,9 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
         vals.append(eigh_tridiagonal(d, e, eigvals_only=N < levels[-1], select="i",
                                      select_range=(0, n_max - 1)))
     v1, v2, (v3, v) = vals
-    extrap = np.array([convergence_report(level).extrapolated for level in zip(v1, v2, v3)])
+    reports = [convergence_report(level) for level in zip(v1, v2, v3)]
+    off = next((i for i, rep in enumerate(reports) if not 1.5 <= rep.order <= 2.5), n_max)
+    extrap = np.concatenate([[rep.extrapolated for rep in reports[:off]], v3[off:]])
 
     tv = d[:, None] * v
     tv[:-1] += e[:, None] * v[1:]

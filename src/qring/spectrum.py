@@ -6,9 +6,9 @@ angular Mathieu problem (handled in qring.mathieu) and a radial
 pseudoharmonic problem solved in closed form here. Two independent
 algebraic routes to the energy are evaluated and required to agree.
 
-The chain runs over arrays of rows (qr_energies: one state over a D or
-delta axis), with one Mathieu solve per array; a row that fails keeps its
-own error. The scalar functions are the length-one case.
+The chain runs over arrays of rows, one equal block per state over a D or delta
+axis, with one Mathieu solve per lattice for all states; a row that fails keeps
+its own error. The scalar functions are the length-one case.
 """
 from __future__ import annotations
 
@@ -85,23 +85,23 @@ def _branch_note(state: QuantumState) -> str:
     return f"integer({'a' if state.parity is Branch.CE else 'b'}_{int(nu)})"
 
 
-def _angular(state: QuantumState, q, delta, errors):
-    """E_theta = delta^2 - c/4 and c over arrays q and delta.
+def _angular(m, se, q, delta, errors):
+    """E_theta = delta^2 - c/4 and c over arrays m, se (parity is se), q and delta.
 
     Rows whose errors entry is set are skipped; rows that fail here get one.
     """
     with np.errstate(over="ignore"):  # such a row fails the order cap below
-        nu = 2.0 * (state.m + delta)
+        nu = 2.0 * (m + delta)
     # route on nu, not delta: float summation can land m + delta on an exact
     # integer even when delta alone is a hair off one
     m_eff = np.rint(nu / 2.0)
     integer = nu == 2.0 * m_eff
-    low = 1 if state.parity is Branch.SE else 0
-    _fail(errors, integer & (m_eff < low), lambda i: ParameterError(
-        f"shifted order {m_eff[i]:.0f} out of range for {state.parity.value}"))
+    _fail(errors, integer & (m_eff < se), lambda i: ParameterError(  # se starts at order 1
+        f"shifted order {m_eff[i]:.0f} out of range for {'se' if se[i] else 'ce'}"))
     c = np.full(nu.shape, np.nan)
     live = _live(errors)
-    for rows, branch, order in ((integer & live, state.parity, m_eff),
+    for rows, branch, order in ((integer & live & ~se, Branch.CE, m_eff),
+                                (integer & live & se, Branch.SE, m_eff),
                                 (~integer & live, None, nu)):
         rows = rows.nonzero()[0]
         if rows.size:
@@ -123,13 +123,17 @@ def _radial(e_theta, params: SystemParams, delta, errors):
     return eta, (1.0 + np.sqrt(np.where(disc >= 0.0, disc, np.nan))) / 4.0
 
 
-def _chain(state: QuantumState, params: SystemParams, q, delta, errors):
-    """The columns of energy() over arrays q and delta.
+def _chain(states, params: SystemParams, q, delta, errors):
+    """The columns of energy() over arrays q and delta, in blocks of states.
 
     params supplies A, B, C and mu. A row that fails gets its error, and nan
     in every column.
     """
-    e_theta, c = _angular(state, q, delta, errors)
+    # m, parity is se, 2 n_r + 1, 4 n_r and lambda_0, repeated over each state's block
+    per_state = [(float(s.m), s.parity is Branch.SE, float(2 * s.n_r + 1), float(4 * s.n_r),
+                  math.sqrt(2.0 * params.mu * params.B + s.m * s.m)) for s in states]
+    m, se, odd, four, lam0 = np.repeat(per_state, q.size // len(states), axis=0).T
+    e_theta, c = _angular(m, se == 1.0, q, delta, errors)
     eta, alpha = _radial(e_theta, params, delta, errors)
 
     root_arg = c / 4.0 + 2.0 * params.mu * params.B
@@ -137,10 +141,10 @@ def _chain(state: QuantumState, params: SystemParams, q, delta, errors):
           lambda i: SupercriticalError(f"root term argument {float(root_arg[i])} < 0"))
     lam_eff = np.sqrt(np.where(root_arg >= 0.0, root_arg, np.nan))
     omega_like = math.sqrt(2.0 * params.A / params.mu)
-    E_closed = omega_like * (2 * state.n_r + 1 + lam_eff) + params.C
+    E_closed = omega_like * (odd + lam_eff) + params.C
 
     a2 = 1.0 / math.sqrt(2.0 * params.mu * params.A)
-    eps = (4 * state.n_r + 4.0 * alpha + 1.0) / a2
+    eps = (four + 4.0 * alpha + 1.0) / a2
     E_chain = eps / (2.0 * params.mu) + params.C
 
     scale = np.maximum(np.maximum(np.abs(E_closed), np.abs(E_chain)), omega_like)
@@ -155,7 +159,6 @@ def _chain(state: QuantumState, params: SystemParams, q, delta, errors):
                                term_trace=[("closed", closed), ("chain", chain)])
 
     _fail(errors, ~finite | (np.abs(E_closed - E_chain) > 1e-12 * scale), disagree)
-    lam0 = math.sqrt(2.0 * params.mu * params.B + state.m * state.m)
     failed = ~_live(errors)
     cols = dict(q_mathieu=q, char_value=c, E_theta=e_theta, eta=eta, alpha=alpha,
                 lambda_eff=lam_eff, E=E_closed, correction=lam_eff - lam0)
@@ -172,7 +175,8 @@ def angular_eigenvalue(state: QuantumState, params: SystemParams):
     _check_delta(state, params)
     q = 4.0 * params.mu * params.D_theta
     errors = [None]
-    e_theta, c = _angular(state, np.array([q]), np.array([params.delta]), errors)
+    e_theta, c = _angular(np.array([float(state.m)]), np.array([state.parity is Branch.SE]),
+                          np.array([q]), np.array([params.delta]), errors)
     _raise_first(errors)
     return float(e_theta[0]), float(c[0]), q, _branch_note(state)
 
@@ -199,7 +203,7 @@ def energy(state: QuantumState, params: SystemParams) -> SpectrumRow:
     _check_delta(state, params)
     errors = [None]
     q = np.array([4.0 * params.mu * params.D_theta])
-    cols = _chain(state, params, q, np.array([params.delta]), errors)
+    cols = _chain([state], params, q, np.array([params.delta]), errors)
     _raise_first(errors)
     return SpectrumRow(state=state, branch_note=_branch_note(state),
                        **{k: float(v[0]) for k, v in cols.items()})
@@ -214,9 +218,13 @@ def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
     included, to arrays; errors[i] is row i's QringError, or None, and its
     columns are nan.
     """
+    return _energies([state], mat, D, state.delta if delta is None else delta)
+
+
+def _energies(states, mat: MaterialSpec, D, delta):
+    """qr_energies of states in one chain: each column holds a block of rows per state."""
     D, delta = np.broadcast_arrays(np.atleast_1d(np.asarray(D, dtype=float)),
-                                   np.asarray(state.delta if delta is None else delta,
-                                              dtype=float))
+                                   np.asarray(delta, dtype=float))
     if D.ndim > 1:
         raise ParameterError(f"D and delta must be scalars or 1-d arrays, got shape {D.shape}")
     errors = [None] * D.size
@@ -229,13 +237,15 @@ def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
         params, invalid = None, np.ones(D.shape, dtype=bool)
     for i in invalid.nonzero()[0]:  # the row's own error, as qr_energy raises it
         try:
-            row_state = replace(state, delta=float(delta[i]))
+            row_state = replace(states[0], delta=float(delta[i]))
             from_material(mat, float(D[i]), row_state.delta)
         except ParameterError as exc:
             errors[i] = exc
+    errors *= len(states)
     if params is None:
-        return dict.fromkeys(_COLUMNS, np.full(D.shape, np.nan)), errors
-    cols = _chain(state, params, 4.0 * params.mu * d_theta, delta, errors)
+        return dict.fromkeys(_COLUMNS, np.full(len(errors), np.nan)), errors
+    cols = _chain(states, params, np.tile(4.0 * params.mu * d_theta, len(states)),
+                  np.tile(delta, len(states)), errors)
     cols["e_hw0"] = cols["E"] / ev_to_hartree(mat.hbar_omega0)
     cols["e_ev"] = hartree_to_ev(cols["E"])
     return cols, errors

@@ -310,20 +310,6 @@ def _wide_value(branch, order, q, K):
     return float(np.dot(vl, tv) / np.dot(vl, vl))
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    """Shapes (stack, n, n) of the numpy.linalg.eigh calls the Mathieu kernel makes."""
-    calls = []
-    real = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
-
-
 @pytest.mark.parametrize("q", [0.1, 0.2118, 0.56])
 def test_one_eigensolve_per_value(eig_calls, q):
     # at these q the first window meets the bound: one matrix, solved once,
@@ -356,6 +342,57 @@ def test_one_stacked_eigensolve_per_batch(eig_calls):
     assert eig_calls[0] == (1000, 11, 11) and len(eig_calls) == 2
     assert 0 < eig_calls[1][0] < 1000 and eig_calls[1][1:] == (21, 21)
     assert [char_value(3, Branch.CE, x).value for x in q[::100]] == list(values[::100])
+
+
+def test_repeated_rows_are_solved_once(eig_calls, monkeypatch):
+    order = np.array([6.6, 2.5, 6.6, 6.6, 2.5, 7.3, -1.0, 6.6])
+    q = np.array([0.21, 0.21, 0.21, 0.5, 0.21, 0.21, 0.21, 0.0])
+    values, errors, windows = mathieu.char_values(None, order, q)
+    # four distinct live pairs at q != 0; the negative order and q = 0 take no solve
+    assert eig_calls == [(4, 21, 21)]
+    singles = [mathieu.char_values(None, o, x) for o, x in zip(order, q)]
+    assert np.array_equal(values, [v[0] for v, _, _ in singles], equal_nan=True)
+    assert [repr(e) for e in errors] == [repr(e[0]) for _, e, _ in singles]
+    for window, (_, _, single) in zip(windows, singles):
+        assert (window is None) == (single[0] is None)
+        if window is not None:
+            assert window[0] == single[0][0] and window[1].tolist() == single[0][1].tolist()
+    # a row that fails its solve: each copy carries an equal ConvergenceError
+    monkeypatch.setattr(mathieu, "_HALF_CAP", 10)
+    _, errors, windows = mathieu.char_values(Branch.CE, [3, 3, 4], [500.0, 500.0, 0.2])
+    assert [type(e) for e in errors] == [ConvergenceError, ConvergenceError, type(None)]
+    assert str(errors[0]) == str(errors[1]) and windows[:2] == [None, None]
+
+
+def test_the_flux_workload_solves_each_distinct_matrix_once(eig_calls, capsys):
+    from qring.cli import _floats_from_range, run
+
+    grid = "0.001:1.001:0.002"
+    assert run(["ab-sweep", "--material", "GaAs", "--m", "0,1,2,3", "--parity", "ce,se",
+                "--D", "10", "--delta-range", grid]) == 0
+    # seven states over 501 non-integer fluxes: 3,507 Floquet rows, as many as
+    # distinct orders nu = 2(m + delta) at one q
+    nus = {2.0 * (m + d) for m in range(4) for d in _floats_from_range(grid)}
+    assert sum(stack for stack, n, _ in eig_calls if n == 21) == len(nus) == 2001
+    assert all(stack * n * n <= mathieu._STACK_ENTRIES for stack, n, _ in eig_calls)
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 7 * 501
+
+
+def test_a_single_row_skips_the_search_for_repeats(monkeypatch):
+    calls = []
+    real = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    char_value(3, Branch.CE, 0.21)
+    char_value_fractional(6.6, 0.21)
+    fourier_coeffs(2, Branch.SE, 0.21)
+    assert calls == []
+    mathieu.char_values(Branch.CE, 3, [0.21, 0.3])
+    assert len(calls) == 1
 
 
 def test_large_q_doubles_the_truncation(eig_calls):

@@ -95,6 +95,26 @@ def test_radial_levels_that_do_not_contract_keep_the_finest_grid(monkeypatch):
     assert radial_fd_eigs(e_theta, params, 1).eigenvalues.tolist() == [3.5]
 
 
+@pytest.mark.parametrize("D,m,parity", [(0.0, 10, Branch.CE), (10.0, 10, Branch.CE),
+                                         (0.0, 0, Branch.CE), (5.0, 3, Branch.SE)])
+def test_radial_levels_stay_ascending_past_the_resolved_ones(monkeypatch, D, m, parity):
+    # near the top of the coarsest grid the observed order falls far below 2,
+    # where extrapolating lifted one level above the next
+    import scipy.linalg
+
+    def eigh_tridiagonal(d, e, eigvals_only, select, select_range):
+        # all levels by the root-free QL sweep, much faster than bisection;
+        # the dummy vectors leave the residuals unchecked here
+        w = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")[:select_range[1] + 1]
+        return w if eigvals_only else (w, np.zeros((len(d), w.size)))
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", eigh_tridiagonal)
+    params = from_material(GAAS, D, 0.0)
+    e_theta, _, _, _ = angular_eigenvalue(QuantumState(0, m, parity), params)
+    levels = radial_fd_eigs(e_theta, params, 1000).eigenvalues
+    assert levels.size == 1000 and (np.diff(levels) > 0).all()
+
+
 def test_radial_requires_subcritical():
     from qring import SupercriticalError, SystemParams
 

@@ -311,3 +311,20 @@ def test_sweep_batch_matches_single_rows(mats, labels, d_values):
         else:
             for field in ("E_theta", "eta", "alpha", "lambda_eff", "E", "e_hw0", "e_ev"):
                 assert getattr(row, field) == pytest.approx(getattr(single, field), rel=1e-14)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(labels=st.lists(st.sampled_from(_STATE_LABELS), min_size=1, max_size=5),
+       D=st.sampled_from([0.0, 10.0, 900.0, 5e5, -1.0]),
+       deltas=st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0, -1.0, -0.7]), min_size=1,
+                       max_size=6))
+def test_states_in_one_chain_match_one_call_per_state(labels, D, deltas):
+    # several states at one material go through one chain: every column and
+    # every row's error equal those of qr_energies called once per state
+    states = [QuantumState(*label) for label in labels]
+    cols, errors = spectrum._energies(states, GAAS, D, deltas)
+    runs = [qr_energies(state, GAAS, D, deltas) for state in states]
+    for key, column in cols.items():
+        assert np.array_equal(column, np.concatenate([run[0][key] for run in runs]),
+                              equal_nan=True), key
+    assert [repr(e) for e in errors] == [repr(e) for run in runs for e in run[1]]
