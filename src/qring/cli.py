@@ -186,9 +186,8 @@ def _sweep_table(args, mats, states, d_values, header):
     """
     groups = list(spectrum._groups(SweepConfig(tuple(mats), tuple(states), tuple(d_values))))
     for mat, state, _, _, errors in groups:
-        for err in errors:
-            if err is not None:
-                print(f"warning: {mat.name} {state}: {err}", file=sys.stderr)
+        for err in errors[np.not_equal(errors, None)]:
+            print(f"warning: {mat.name} {state}: {err}", file=sys.stderr)
     _emit(args, header, ([dict(c, material=mat.name, D=D, delta=s.delta, nr=s.n_r, m=s.m,
                                parity=s.parity.value, p=c["q_mathieu"], E_hw0=c["e_hw0"],
                                E_eV=c["e_ev"])[name] for name in header]
@@ -213,16 +212,14 @@ def _cmd_corrections(args):
 def _cmd_transitions(args):
     d_values = np.array(args.d_range if args.d_range is not None
                         else _floats_from_range("0:10:0.1"))
+    mats = _materials_of(args)
+    lows = _states(args.parity, [args.m_lo], [args.nr], args.delta)
     groups = []
-    for mat in sorted(_materials_of(args), key=lambda m: m.name):
-        for parity in args.parity:
-            if parity is Branch.SE and args.m_lo == 0:
-                continue
-            hi = QuantumState(args.nr, args.m_hi, parity, args.delta)
-            lo = QuantumState(args.nr, args.m_lo, parity, args.delta)
-            de_w, de_n, shift = transition(hi, lo, mat, d_values)
+    for mat in sorted(mats, key=lambda m: m.name):
+        for lo in lows:
+            de_w, de_n, shift = transition(replace(lo, m=args.m_hi), lo, mat, d_values)
             groups.append([mat.name, d_values, args.nr, args.m_hi, args.m_lo,
-                           parity.value, de_w, de_n, 100.0 * shift])
+                           lo.parity.value, de_w, de_n, 100.0 * shift])
     _emit(args, ["material", "D", "nr", "m_hi", "m_lo", "parity",
                  "dE_withD", "dE_noD", "rel_shift_pct"], groups)
     return 0
@@ -251,10 +248,11 @@ def _cmd_wavefunction(args):
         raise UsageError("wavefunction takes exactly one material and one state")
     if args.points < 0:
         raise UsageError(f"--points must be >= 0, got {args.points}")
-    if not math.isfinite(args.r_max):
-        raise DomainError(f"--r-max must be finite, got {args.r_max}")
     state = QuantumState(args.nr[0], args.m[0], args.parity[0], args.delta)
     params = from_material(mats[0], args.D, args.delta)
+    if not math.isfinite(args.r_max * params.a_length):  # the grid end, in bohr
+        raise DomainError(f"--r-max must be finite in units of a = {params.a_length} bohr, "
+                          f"got {args.r_max}")
     spec = wavefun.make_wave(state, params)
     grid = np.linspace(0.0, args.r_max * spec.a, args.points)
     table = wavefun.radial_profile(spec, grid)

@@ -190,13 +190,9 @@ def _window(branch, order, q, h):
 
 def _fail(errors, mask, make):
     """Give each row of mask that has no error yet the error make(i)."""
-    for i in mask.nonzero()[0]:
-        if errors[i] is None:
-            errors[i] = make(i)
-
-
-def _live(errors):
-    return np.array([err is None for err in errors], dtype=bool)
+    rows = mask.nonzero()[0]
+    for i in rows[np.equal(errors[rows], None)]:
+        errors[i] = make(i)
 
 
 def _raise_first(errors):
@@ -212,10 +208,12 @@ def char_values(branch: Optional[Branch], order, q):
     branch CE/SE takes integer orders m >= 0 (m >= 1 for SE), whose value
     continues (2m)^2 from q = 0; branch None takes fractional orders nu and
     continues nu^2 along the Floquet lattice. Returns (values, errors,
-    windows): a row whose order or q is out of domain, or whose solve fails,
+    windows), three arrays over the rows; errors and windows are object
+    arrays. A row whose order or q is out of domain, or whose solve fails,
     has value nan and its QringError in errors; every other entry of errors
-    is None. windows[i] is row i's (first site, unit vector), None where
-    q = 0 or the row failed.
+    is None. windows[i] is row i's (first site, unit vector), a single site
+    at q = 0; it is None where errors[i] is set, and on the Floquet lattice
+    (branch None) at q = 0, whose window no caller reads.
 
     Rows at q != 0 are solved as the module docstring describes; rows that
     repeat an (order, q) get the value, error and window of its one solve.
@@ -223,8 +221,8 @@ def char_values(branch: Optional[Branch], order, q):
     order, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(np.asarray(q, dtype=float)))
     half = order / 2.0 if branch is None else order
     values = np.full(q.size, np.nan)
-    errors = [None] * q.size
-    windows = [None] * q.size
+    errors = np.full(q.size, None)
+    windows = np.full(q.size, None)
     # the domain rules in order; a row gets the message of the first it breaks
     rules = [] if branch is not None else [
         (~(np.isfinite(order) & (order > 0.0)),
@@ -245,9 +243,12 @@ def char_values(branch: Optional[Branch], order, q):
     ]
     for mask, message in rules:
         _fail(errors, mask, lambda i: ParameterError(message(i)))
-    live = _live(errors)
+    live = np.equal(errors, None)
     still = live & (q == 0.0)
     values[still] = (order[still] if branch is None else 2.0 * order[still]) ** 2
+    if branch is not None:  # the q = 0 mode is one site of the cosine or sine lattice
+        for i in still.nonzero()[0]:
+            windows[i] = (int(order[i]) - (branch is Branch.SE), np.ones(1))
 
     previous = np.full(q.size, np.nan)  # each row's value on its last window but one
     todo = dst = src = (live & (q != 0.0)).nonzero()[0]  # row dst[i] takes src[i]'s solve
@@ -280,9 +281,7 @@ def char_values(branch: Optional[Branch], order, q):
                 windows[rows[j]] = (int(lo[j]), vec[j])
         todo = np.concatenate(failed)
         h *= 2
-    values[dst] = values[src]
-    for i, j in zip(dst.tolist(), src.tolist()):
-        errors[i], windows[i] = errors[j], windows[j]
+    values[dst], errors[dst], windows[dst] = values[src], errors[src], windows[src]
     return values, errors, windows
 
 
@@ -379,10 +378,7 @@ def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
     m = _check_m(m, branch)
     values, errors, windows = char_values(branch, m, q)
     _raise_first(errors)
-    if q == 0.0:
-        lo, vec = m - (branch is Branch.SE), np.ones(1)
-    else:
-        lo, vec = windows[0]
+    lo, vec = windows[0]
     coeffs = np.zeros(lo + vec.size)
     coeffs[lo:] = vec
     # the eigenvector is unit-norm; the constant CE mode carries sqrt(2) in the

@@ -13,6 +13,7 @@ its own error. The scalar functions are the length-one case.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import mathieu
 from .errors import EvaluationError, ParameterError, SupercriticalError
-from .mathieu import Branch, _fail, _live, _raise_first
+from .mathieu import Branch, _fail, _raise_first
 from .params import MaterialSpec, SystemParams, ev_to_hartree, from_material, hartree_to_ev
 
 
@@ -99,15 +100,12 @@ def _angular(m, se, q, delta, errors):
     _fail(errors, integer & (m_eff < se), lambda i: ParameterError(  # se starts at order 1
         f"shifted order {m_eff[i]:.0f} out of range for {'se' if se[i] else 'ce'}"))
     c = np.full(nu.shape, np.nan)
-    live = _live(errors)
+    live = np.equal(errors, None)
     for rows, branch, order in ((integer & live & ~se, Branch.CE, m_eff),
                                 (integer & live & se, Branch.SE, m_eff),
                                 (~integer & live, None, nu)):
-        rows = rows.nonzero()[0]
-        if rows.size:
-            c[rows], errs, _ = mathieu.char_values(branch, order[rows], q[rows])
-            for i, err in zip(rows, errs):
-                errors[i] = err
+        if rows.any():
+            c[rows], errors[rows], _ = mathieu.char_values(branch, order[rows], q[rows])
     with np.errstate(over="ignore"):
         return delta * delta - c / 4.0, c
 
@@ -159,7 +157,7 @@ def _chain(states, params: SystemParams, q, delta, errors):
                                term_trace=[("closed", closed), ("chain", chain)])
 
     _fail(errors, ~finite | (np.abs(E_closed - E_chain) > 1e-12 * scale), disagree)
-    failed = ~_live(errors)
+    failed = np.not_equal(errors, None)
     cols = dict(q_mathieu=q, char_value=c, E_theta=e_theta, eta=eta, alpha=alpha,
                 lambda_eff=lam_eff, E=E_closed, correction=lam_eff - lam0)
     return {k: np.where(failed, np.nan, v) for k, v in cols.items()}
@@ -174,7 +172,7 @@ def angular_eigenvalue(state: QuantumState, params: SystemParams):
     """
     _check_delta(state, params)
     q = 4.0 * params.mu * params.D_theta
-    errors = [None]
+    errors = np.full(1, None)
     e_theta, c = _angular(np.array([float(state.m)]), np.array([state.parity is Branch.SE]),
                           np.array([q]), np.array([params.delta]), errors)
     _raise_first(errors)
@@ -187,7 +185,7 @@ def radial_exponent(E_theta: float, params: SystemParams):
     eta = E_theta - 2 mu beta + 1/4 with beta = B + delta^2/(2 mu);
     alpha = (1 + sqrt(1 - 4 eta)) / 4 is the regular-solution exponent.
     """
-    errors = [None]
+    errors = np.full(1, None)
     eta, alpha = _radial(np.array([E_theta]), params, np.array([params.delta]), errors)
     _raise_first(errors)
     return float(eta[0]), float(alpha[0])
@@ -201,7 +199,7 @@ def energy(state: QuantumState, params: SystemParams) -> SpectrumRow:
     E = eps/(2 mu) + C; the two routes must agree to 1e-12 relative.
     """
     _check_delta(state, params)
-    errors = [None]
+    errors = np.full(1, None)
     q = np.array([4.0 * params.mu * params.D_theta])
     cols = _chain([state], params, q, np.array([params.delta]), errors)
     _raise_first(errors)
@@ -215,8 +213,9 @@ def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
     D and delta are scalars or 1-d; a broadcast shape of more dimensions
     raises ParameterError. delta defaults to state.delta. Returns (cols,
     errors): cols maps the numeric SpectrumRow fields, e_hw0 and e_ev
-    included, to arrays; errors[i] is row i's QringError, or None, and its
-    columns are nan.
+    included, to arrays over the rows; errors is an object array over the
+    same rows, so the columns' masks and index arrays select from it too.
+    errors[i] is row i's QringError, or None, and its columns are nan.
     """
     return _energies([state], mat, D, state.delta if delta is None else delta)
 
@@ -227,7 +226,7 @@ def _energies(states, mat: MaterialSpec, D, delta):
                                    np.asarray(delta, dtype=float))
     if D.ndim > 1:
         raise ParameterError(f"D and delta must be scalars or 1-d arrays, got shape {D.shape}")
-    errors = [None] * D.size
+    errors = np.full(D.size, None)
     with np.errstate(over="ignore"):
         d_theta = D / mat.eps_r
     try:
@@ -241,9 +240,9 @@ def _energies(states, mat: MaterialSpec, D, delta):
             from_material(mat, float(D[i]), row_state.delta)
         except ParameterError as exc:
             errors[i] = exc
-    errors *= len(states)
+    errors = np.tile(errors, len(states))
     if params is None:
-        return dict.fromkeys(_COLUMNS, np.full(len(errors), np.nan)), errors
+        return {k: np.full(errors.size, np.nan) for k in _COLUMNS}, errors
     cols = _chain(states, params, np.tile(4.0 * params.mu * d_theta, len(states)),
                   np.tile(delta, len(states)), errors)
     cols["e_hw0"] = cols["E"] / ev_to_hartree(mat.hbar_omega0)
@@ -346,39 +345,39 @@ class SweepConfig:
         for d in self.d_values:
             if not math.isfinite(d) or d < 0:
                 raise ParameterError(f"sweep D values must be finite and >= 0, got {d}")
+        named = {}
+        for mat in self.materials:  # the rows name their material by name alone
+            if named.setdefault(mat.name, mat) != mat:
+                raise ParameterError(f"two different materials share the name {mat.name!r}")
 
 
 def _groups(config: SweepConfig):
-    """The sweep grid in output order, one (material, state) group at a time.
+    """The sweep grid in output order, one distinct (material, state) at a time.
 
-    Yields (mat, state, D, cols, errors); cols and errors are
-    qr_energies' output, reordered by a stable sort of D. Groups with equal
-    (material name, parity, m, n_r, delta) are joined in input order first
-    and carry the first one's mat and state, so the rows come in the order of
-    a stable sort of the grid by (material, parity, m, n_r, delta, D).
+    Yields (mat, state, D, cols, errors); cols and errors are one
+    qr_energies call's output (errors an object array like the columns),
+    reordered by a stable sort of D. A (material, state) that the grid holds
+    k times is solved once and each of its rows is repeated k times, so the
+    rows come in the order of a sort of the grid by (material, parity, m,
+    n_r, delta, D) and rows with equal keys are equal.
     """
-    parts = {}
-    for mat in config.materials:
-        for state in config.states:
-            key = (mat.name, state.parity.value, state.m, state.n_r, state.delta)
-            parts.setdefault(key, []).append((mat, state))
+    def key(pair):
+        mat, state = pair
+        return mat.name, state.parity.value, state.m, state.n_r, state.delta
+
+    counts = Counter((mat, state) for mat in config.materials for state in config.states)
     d_values = np.array(config.d_values, dtype=float)
-    for key in sorted(parts):
-        runs = [qr_energies(state, mat, d_values) for mat, state in parts[key]]
-        D = np.tile(d_values, len(runs))
-        order = np.argsort(D, kind="stable")
-        cols = {k: np.concatenate([run[0][k] for run in runs])[order] for k in runs[0][0]}
-        errors = [err for run in runs for err in run[1]]
-        mat, state = parts[key][0]
-        yield mat, state, D[order], cols, [errors[i] for i in order.tolist()]
+    for mat, state in sorted(counts, key=key):
+        cols, errors = qr_energies(state, mat, d_values)
+        order = np.repeat(np.argsort(d_values, kind="stable"), counts[mat, state])
+        yield mat, state, d_values[order], {c: v[order] for c, v in cols.items()}, errors[order]
 
 
 def sweep(config: SweepConfig) -> list:
     """Evaluate the grid; per-row failures are recorded, not raised.
 
     Rows come back in the deterministic order (material, parity, m, n_r,
-    delta, D); the order is stable, so repeated inputs repeat their rows in
-    input order.
+    delta, D); repeated inputs give equal rows, next to each other.
     """
     rows = []
     for mat, state, D, cols, errors in _groups(config):

@@ -473,6 +473,44 @@ def test_material_failure_is_a_warning_on_every_row():
         assert code == 3 and out == "" and "SystemParams fields must be finite" in err
 
 
+def test_repeated_materials_and_states_are_solved_once(monkeypatch):
+    calls = []
+    qr_energies = spectrum.qr_energies
+    monkeypatch.setattr(spectrum, "qr_energies",
+                        lambda *args: calls.append(args) or qr_energies(*args))
+    code, out, err = _run(["corrections", "--material", "GaAs,GaAs", "--m", "1,1",
+                           "--D-range", "0:1:0.25"])
+    assert code == 0 and err == "" and len(calls) == 1
+    _, single, _ = _run(["corrections", "--m", "1", "--D-range", "0:1:0.25"])
+    header, *rows = single.splitlines()
+    assert out.splitlines() == [header, *(row for row in rows for _ in range(4))]
+    assert len(out.splitlines()) == 21
+
+
+def test_transitions_with_no_valid_parity_is_a_usage_error():
+    energies = _run(["energies", "--parity", "se", "--m", "0"])
+    assert energies[0] == 1 and "no valid (m, parity) combinations requested" in energies[2]
+    assert _run(["transitions", "--parity", "se", "--m-lo", "0", "--m-hi", "1"]) == energies
+    code, out, _ = _run(["transitions", "--parity", "se,ce", "--m-lo", "0", "--m-hi", "1",
+                         "--D-range", "0:1:1"])
+    assert code == 0 and [row.split(",")[5] for row in out.splitlines()[1:]] == ["ce"] * 2
+
+
+@pytest.mark.parametrize("states", [["--m-lo", "-1"], ["--parity", "se", "--m-lo", "0"]])
+def test_transitions_checks_the_material_before_the_states(states):
+    # like energies and corrections: a bad --hbar-omega0 is reported first
+    code, out, err = _run(["transitions", "--hbar-omega0", "-1", *states])
+    assert code == _run(["energies", "--hbar-omega0", "-1"])[0] != 1
+    assert out == "" and "hbar_omega0" in err
+
+
+@pytest.mark.parametrize("r_max", ["1e308", "-1e308"])
+def test_wavefunction_overflowing_grid_end_is_a_domain_error(r_max):
+    # r_max is finite but r_max * a is not; no RuntimeWarning may escape
+    code, out, err = _run(["wavefunction", f"--r-max={r_max}"])
+    assert code == 3 and out == "" and "--r-max" in err
+
+
 def test_float_range_parsing():
     assert _floats_from_range("5") == [5.0]
     got = _floats_from_range("0:1:0.25")

@@ -31,7 +31,7 @@ _FLAGS = {
     "wavefunction": _STATE + ["--nr", "--D", "--delta", "--r-max", "--points"],
     "materials": ["--pretty"],
 }
-_VALUES = ["0", "1", "-1", "2.5", "1e6", "nan", "inf", "x", "ce", "se", "GaAs",
+_VALUES = ["0", "1", "-1", "2.5", "1e6", "1e308", "nan", "inf", "x", "ce", "se", "GaAs",
            "0,1", "0:1:0.5", "0:inf:1", "1:0:1"]
 
 

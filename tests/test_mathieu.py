@@ -245,6 +245,23 @@ def test_fourier_coeffs_q_zero():
     assert fc.coeffs[1] == 1.0 and abs(fc.coeffs).sum() == 1.0
 
 
+def test_every_live_row_has_a_window():
+    # on the cosine and sine lattices windows[i] is None exactly where
+    # errors[i] is set; q = 0 has its one site
+    for branch, order, q in ((Branch.CE, [0, 2, 3, 1e150, 70000], [0.0, 0.0, 0.3, 0.1, 0.5]),
+                             (Branch.SE, [1, 3, 3], [0.0, 0.0, 2e4])):
+        _, errors, windows = mathieu.char_values(branch, order, q)
+        assert np.array_equal(np.equal(windows, None), np.not_equal(errors, None))
+        for o, x, window in zip(order, q, windows):
+            if x == 0.0 and window is not None:
+                site = int(o) - (branch is Branch.SE)
+                assert window[0] == site and window[1].tolist() == [1.0]
+    # the Floquet lattice keeps no window at q = 0
+    _, errors, windows = mathieu.char_values(None, [0.5, 3.3, -1.0, 6.6], [0.0, 0.21, 0.0, 0.0])
+    assert list(np.equal(errors, None)) == [True, True, False, True]
+    assert list(np.equal(windows, None)) == [True, False, True, True]
+
+
 def test_eval_angular_flux_phase():
     fc = fourier_coeffs(1, Branch.CE, 0.5)
     th = np.linspace(0, 2 * np.pi, 50)
@@ -333,7 +350,7 @@ def test_one_stacked_eigensolve_per_batch(eig_calls):
         eig_calls.clear()
         values, errors, _ = mathieu.char_values(Branch.CE, m, q)
         assert eig_calls == [(1000, 11, 11)]  # q = 0 is exact and takes no solve
-        assert errors == [None] * 1001 and values[0] == 4.0 * m * m
+        assert list(errors) == [None] * 1001 and values[0] == 4.0 * m * m
         assert [char_value(m, Branch.CE, x).value for x in q[::100]] == list(values[::100])
     # at larger q only the rows that miss the bound are solved again, wider
     q = np.linspace(0.0, 3.0, 1001)
@@ -361,7 +378,7 @@ def test_repeated_rows_are_solved_once(eig_calls, monkeypatch):
     monkeypatch.setattr(mathieu, "_HALF_CAP", 10)
     _, errors, windows = mathieu.char_values(Branch.CE, [3, 3, 4], [500.0, 500.0, 0.2])
     assert [type(e) for e in errors] == [ConvergenceError, ConvergenceError, type(None)]
-    assert str(errors[0]) == str(errors[1]) and windows[:2] == [None, None]
+    assert str(errors[0]) == str(errors[1]) and list(windows[:2]) == [None, None]
 
 
 def test_the_flux_workload_solves_each_distinct_matrix_once(eig_calls, capsys):

@@ -117,6 +117,36 @@ def test_material_failure_is_an_error_on_every_row():
     assert all(c.shape == (3,) and np.isnan(c).all() for c in cols.values())
 
 
+def test_material_failure_columns_are_separate_arrays():
+    state = QuantumState(0, 1, Branch.CE)
+    cols, _ = qr_energies(state, replace(GAAS, hbar_omega0=1e300), [0.0, 1.0])
+    cols["E"][0] = 5.0
+    assert [k for k, c in cols.items() if not np.isnan(c).all()] == ["E"]
+
+
+def test_qr_energies_errors_index_like_the_columns():
+    # errors is an array over the rows: a column's mask or index array selects from it
+    state = QuantumState(0, 0, Branch.CE)
+    D = np.array([900.0, 0.0, -1.0, 10.0, 900.0])
+    cols, errors = qr_energies(state, GAAS, D)
+    failed = np.isnan(cols["E"])
+    assert failed.tolist() == [True, False, True, False, True]
+    assert np.equal(errors[failed], None).sum() == 0 and list(errors[~failed]) == [None] * 2
+    order = np.argsort(D, kind="stable")
+    assert [type(e) for e in errors[order]] == [ParameterError, type(None), type(None),
+                                               SupercriticalError, SupercriticalError]
+    assert np.array_equal(cols["E"][order], qr_energies(state, GAAS, D[order])[0]["E"],
+                          equal_nan=True)
+
+
+def test_sweep_rejects_two_materials_with_one_name():
+    other = replace(GAAS, eps_r=13.0)
+    with pytest.raises(ParameterError, match="'GaAs'"):
+        SweepConfig((GAAS, get_material("CdSe"), other), (QuantumState(0, 0, Branch.CE),), (1.0,))
+    # the same material twice is one material repeated
+    SweepConfig((GAAS, replace(GAAS)), (QuantumState(0, 0, Branch.CE),), (1.0,))
+
+
 def test_correction_sign_and_small_d_scaling():
     c1 = correction(QuantumState(0, 0, Branch.CE), GAAS, 0.1)
     c2 = correction(QuantumState(0, 0, Branch.CE), GAAS, 0.2)
@@ -184,6 +214,25 @@ def test_transition_solves_each_state_once(monkeypatch):
     hi, lo = QuantumState(0, 2, Branch.CE), QuantumState(0, 1, Branch.CE)
     de_with, _, _ = transition(hi, lo, GAAS, np.linspace(0.0, 10.0, 11))
     assert len(calls) == 2 and de_with.shape == (11,)
+
+
+def test_repeated_grid_pairs_are_solved_once(monkeypatch):
+    # a (material, state) that the grid holds four times is one qr_energies
+    # call, and each of its rows comes four times in a row
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return qr_energies(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "qr_energies", counted)
+    state = QuantumState(0, 1, Branch.CE)
+    d_values = (0.5, 0.0, 900.0, 0.5)
+    rows = sweep(SweepConfig((GAAS, GAAS), (state, state), d_values))
+    assert len(calls) == 1
+    single = sweep(SweepConfig((GAAS,), (state,), d_values))
+    assert [(r.D, r.correction, r.error) for r in rows] == [
+        (r.D, r.correction, r.error) for r in single for _ in range(4)]
 
 
 def test_branch_notes_at_the_overflow_edge():
