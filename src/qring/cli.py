@@ -23,7 +23,7 @@ from . import oracle, spectrum, wavefun
 from .errors import DomainError, NumericsError, QringError, UsageError
 from .mathieu import Branch, _raise_first, char_value, char_value_series, series_p8_estimate
 from .params import builtin_materials, from_material, get_material, parse_config
-from .spectrum import QuantumState, SweepConfig, transition
+from .spectrum import QuantumState, SweepConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,10 +39,10 @@ def _floats_from_range(text: str):
     if len(parts) != 3:
         raise UsageError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+    steps = (stop - start) / step if step > 0 else math.nan  # inf when the count overflows
+    if not all(map(math.isfinite, (start, stop, step, steps))) or stop < start:
         raise UsageError(f"bad range {text!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(n)]
+    return [start + k * step for k in range(int(math.floor(steps + 1e-9)) + 1)]
 
 
 def _int_list(text: str):
@@ -128,7 +128,7 @@ def _build_parser():
 
     p = add("corrections", "dipole corrections lambda_eff - lambda_0 over D")
     add_state_args(p, with_nr=False)
-    p.add_argument("--D-range", type=_floats_from_range, default=None,
+    p.add_argument("--D-range", type=_floats_from_range, default="0:10:0.1",
                    dest="d_range", help="start:stop:step or single value (a.u.)")
     p.add_argument("--delta", type=float, default=0.0)
 
@@ -137,12 +137,12 @@ def _build_parser():
     p.add_argument("--nr", type=int, default=0)
     p.add_argument("--m-hi", type=int, required=False, default=1, dest="m_hi")
     p.add_argument("--m-lo", type=int, required=False, default=0, dest="m_lo")
-    p.add_argument("--D-range", type=_floats_from_range, default=None, dest="d_range")
+    p.add_argument("--D-range", type=_floats_from_range, default="0:10:0.1", dest="d_range")
     p.add_argument("--delta", type=float, default=0.0)
 
     p = add("ab-sweep", "Aharonov-Bohm correction vs flux ratio")
     add_state_args(p, with_nr=False)
-    p.add_argument("--delta-range", type=_floats_from_range, default=None,
+    p.add_argument("--delta-range", type=_floats_from_range, default="0:1:0.02",
                    dest="delta_range", help="start:stop:step, default 0:1:0.02")
     p.add_argument("--D", type=float, default=0.0,
                    help="dipole held fixed during the sweep (default 0)")
@@ -203,23 +203,19 @@ def _cmd_energies(args):
 
 
 def _cmd_corrections(args):
-    d_values = args.d_range if args.d_range is not None else _floats_from_range("0:10:0.1")
     return _sweep_table(args, _materials_of(args), _states(args.parity, args.m, [0], args.delta),
-                        d_values, ["material", "D", "p", "m", "parity", "delta", "char_value",
-                                   "lambda_eff", "correction"])
+                        args.d_range, ["material", "D", "p", "m", "parity", "delta", "char_value",
+                                       "lambda_eff", "correction"])
 
 
 def _cmd_transitions(args):
-    d_values = np.array(args.d_range if args.d_range is not None
-                        else _floats_from_range("0:10:0.1"))
     mats = _materials_of(args)
     lows = _states(args.parity, [args.m_lo], [args.nr], args.delta)
+    d_values = np.array(args.d_range)
     groups = []
-    for mat in sorted(mats, key=lambda m: m.name):
-        for lo in lows:
-            de_w, de_n, shift = transition(replace(lo, m=args.m_hi), lo, mat, d_values)
-            groups.append([mat.name, d_values, args.nr, args.m_hi, args.m_lo,
-                           lo.parity.value, de_w, de_n, 100.0 * shift])
+    for mat, lo, de_w, de_n, shift in spectrum._transitions(mats, lows, args.m_hi, d_values):
+        groups.append([mat.name, d_values, args.nr, args.m_hi, args.m_lo, lo.parity.value,
+                       de_w, de_n, 100.0 * shift])
     _emit(args, ["material", "D", "nr", "m_hi", "m_lo", "parity",
                  "dE_withD", "dE_noD", "rel_shift_pct"], groups)
     return 0
@@ -227,16 +223,16 @@ def _cmd_transitions(args):
 
 def _cmd_ab_sweep(args):
     mats = _materials_of(args)
-    deltas = args.delta_range if args.delta_range is not None else _floats_from_range("0:1:0.02")
     states = _states(args.parity, args.m, [0], 0.0)
     groups = []
-    for mat in sorted(mats, key=lambda m: m.name):
-        # ab_correction(base, mat, d, D) over the flux axis, all states at once; row 0 is delta = 0
-        cols, errors = spectrum._energies(states, mat, args.D, [0.0, *deltas])
-        _raise_first(errors)
-        for base, lam in zip(states, cols["lambda_eff"].reshape(len(states), -1)):
-            groups.append([mat.name, args.D, base.m, base.parity.value, np.array(deltas),
-                           lam[1:], lam[1:] - lam[0]])
+    # ab_correction(base, mat, d, D) over the flux axis, all states at once; row 0 is delta = 0
+    for mat, rows in spectrum._solve(mats, states, args.D, [0.0, *args.delta_range]):
+        for base in states:
+            cols, errors = rows[base]
+            _raise_first(errors)
+            lam = cols["lambda_eff"]
+            groups.append([mat.name, args.D, base.m, base.parity.value,
+                           np.array(args.delta_range), lam[1:], lam[1:] - lam[0]])
     _emit(args, ["material", "D", "m", "parity", "delta",
                  "lambda_eff", "ab_correction"], groups)
     return 0

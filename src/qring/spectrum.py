@@ -8,7 +8,10 @@ algebraic routes to the energy are evaluated and required to agree.
 
 The chain runs over arrays of rows, one equal block per state over a D or delta
 axis, with one Mathieu solve per lattice for all states; a row that fails keeps
-its own error. The scalar functions are the length-one case.
+its own error. The scalar functions are the length-one case. A table over
+materials, states and an axis (sweep, and each table command of qring.cli) is
+one such chain per distinct material, with all of its distinct states; a
+repeated material or state repeats rows, not solves.
 """
 from __future__ import annotations
 
@@ -217,15 +220,21 @@ def qr_energies(state: QuantumState, mat: MaterialSpec, D, delta=None):
     same rows, so the columns' masks and index arrays select from it too.
     errors[i] is row i's QringError, or None, and its columns are nan.
     """
-    return _energies([state], mat, D, state.delta if delta is None else delta)
+    return _energies([state], mat, D, delta)
 
 
-def _energies(states, mat: MaterialSpec, D, delta):
-    """qr_energies of states in one chain: each column holds a block of rows per state."""
-    D, delta = np.broadcast_arrays(np.atleast_1d(np.asarray(D, dtype=float)),
-                                   np.asarray(delta, dtype=float))
+def _energies(states, mat: MaterialSpec, D, delta=None):
+    """qr_energies of states in one chain: each column holds a block of rows per state.
+
+    Every block runs over D and delta; delta defaults to each state's own.
+    """
+    D, flux = np.broadcast_arrays(np.atleast_1d(np.asarray(D, dtype=float)),
+                                  np.asarray(0.0 if delta is None else delta, dtype=float))
     if D.ndim > 1:
         raise ParameterError(f"D and delta must be scalars or 1-d arrays, got shape {D.shape}")
+    delta = (np.repeat([s.delta for s in states], D.size) if delta is None
+             else np.tile(flux, len(states)))
+    D = np.tile(D, len(states))
     errors = np.full(D.size, None)
     with np.errstate(over="ignore"):
         d_theta = D / mat.eps_r
@@ -240,14 +249,29 @@ def _energies(states, mat: MaterialSpec, D, delta):
             from_material(mat, float(D[i]), row_state.delta)
         except ParameterError as exc:
             errors[i] = exc
-    errors = np.tile(errors, len(states))
     if params is None:
         return {k: np.full(errors.size, np.nan) for k in _COLUMNS}, errors
-    cols = _chain(states, params, np.tile(4.0 * params.mu * d_theta, len(states)),
-                  np.tile(delta, len(states)), errors)
+    cols = _chain(states, params, 4.0 * params.mu * d_theta, delta, errors)
     cols["e_hw0"] = cols["E"] / ev_to_hartree(mat.hbar_omega0)
     cols["e_ev"] = hartree_to_ev(cols["E"])
     return cols, errors
+
+
+def _solve(mats, states, D, delta=None):
+    """A table's grid in chain calls: one _energies call per distinct material.
+
+    Yields (mat, rows) for each entry of mats, sorted by name: a material
+    listed k times comes k times in a row and is solved once. Each call takes
+    every distinct state over D and delta (delta defaults to each state's
+    own); rows[state] is (cols, errors) of state's block.
+    """
+    distinct, last = list(dict.fromkeys(states)), None
+    for mat in sorted(mats if distinct else (), key=lambda m: m.name):
+        if mat != last:
+            cols, errors = _energies(distinct, mat, D, delta)
+            parts = [np.split(v, len(distinct)) for v in (errors, *cols.values())]
+            rows, last = {s: (dict(zip(cols, p[1:])), p[0]) for s, *p in zip(distinct, *parts)}, mat
+        yield mat, rows
 
 
 def _rows(state: QuantumState, mat: MaterialSpec, D, cols, errors):
@@ -284,6 +308,32 @@ def correction(state: QuantumState, mat: MaterialSpec, D: float) -> float:
     return qr_energy(state, mat, D).correction
 
 
+def _transitions(mats, lows, m_hi, D):
+    """transition of (lo with m = m_hi, lo) for each lo of lows on each material of mats.
+
+    Yields (mat, lo, dE_withD, dE_noD, rel_shift), with arrays over D, in the
+    order of _solve over [0, *D]. A pair raises what the scalar form would at
+    its first D that fails: that D's pair, the reference pair, then the
+    remaining pairs in D order.
+    """
+    # there is no se state with m = 0: such a pair is left out of the solve and
+    # raises when the loop reaches it, after the pairs before it
+    his = [replace(lo, m=m_hi) for lo in lows if lo.parity is Branch.CE or m_hi]
+    if any(lo.m == m_hi for lo in lows):
+        raise ParameterError("transition requires different m")
+    for mat, rows in _solve(mats, [*his, *lows], np.append(0.0, D)):
+        for lo in lows:
+            hi = replace(lo, m=m_hi)
+            (hi_cols, hi_err), (lo_cols, lo_err) = rows[hi], rows[lo]
+            _raise_first([*hi_err[1:2], *lo_err[1:2], hi_err[0], lo_err[0]])
+            de = hi_cols["e_hw0"] - lo_cols["e_hw0"]
+            de_no = float(de[0])
+            if de_no == 0.0:
+                raise ParameterError("degenerate reference transition (dE = 0 at D = 0)")
+            _raise_first(e for pair in zip(hi_err[1:], lo_err[1:]) for e in pair)
+            yield mat, lo, de[1:], de_no, (de[1:] - de_no) / de_no
+
+
 def transition(
     state_hi: QuantumState, state_lo: QuantumState, mat: MaterialSpec, D
 ):
@@ -291,32 +341,17 @@ def transition(
 
     Returns (dE_withD, dE_noD, rel_shift) with energies in hbar*omega0
     units. The two states must differ only in m. D may be an array: dE_withD
-    and rel_shift are then arrays over it. Each state is solved once, over
-    D with the D = 0 reference put in front as row 0.
+    and rel_shift are then arrays over it. This is one pair of the
+    transitions table: both states go through one chain call, over D with
+    the D = 0 reference put in front as row 0.
     """
-    if state_hi.n_r != state_lo.n_r:
-        raise ParameterError("transition requires equal n_r")
-    if state_hi.delta != state_lo.delta:
-        raise ParameterError("transition requires equal delta")
-    if state_hi.parity is not state_lo.parity:
-        raise ParameterError("transition requires equal parity")
-    if state_hi.m == state_lo.m:
-        raise ParameterError("transition requires different m")
-    axis = np.append(0.0, D)
-    hi, hi_err = qr_energies(state_hi, mat, axis)
-    lo, lo_err = qr_energies(state_lo, mat, axis)
-    # raise what the scalar form would at the first D that fails: that D's
-    # pair, the reference pair, then the remaining pairs in D order
-    _raise_first([*hi_err[1:2], *lo_err[1:2], hi_err[0], lo_err[0]])
-    de = hi["e_hw0"] - lo["e_hw0"]
-    de_no = float(de[0])
-    if de_no == 0.0:
-        raise ParameterError("degenerate reference transition (dE = 0 at D = 0)")
-    _raise_first(e for pair in zip(hi_err[1:], lo_err[1:]) for e in pair)
-    de_with = de[1:]
+    for field in ("n_r", "delta", "parity"):
+        if getattr(state_hi, field) != getattr(state_lo, field):
+            raise ParameterError(f"transition requires equal {field}")
+    (_, _, de_with, de_no, rel), = _transitions([mat], [state_lo], state_hi.m, D)
     if np.ndim(D) == 0:
-        de_with = float(de_with[0])
-    return de_with, de_no, (de_with - de_no) / de_no
+        return float(de_with[0]), de_no, float(rel[0])
+    return de_with, de_no, rel
 
 
 def ab_correction(
@@ -328,9 +363,9 @@ def ab_correction(
     sqrt(lambda^2 + (m+delta)^2) - sqrt(lambda^2 + m^2) and is identical
     for both parity labels.
     """
-    on = qr_energy(replace(state, delta=delta), mat, D)
-    off = qr_energy(replace(state, delta=0.0), mat, D)
-    return on.lambda_eff - off.lambda_eff
+    cols, errors = qr_energies(state, mat, D, [delta, 0.0])
+    _raise_first(errors)
+    return float(cols["lambda_eff"][0] - cols["lambda_eff"][1])
 
 
 @dataclass(frozen=True)
@@ -354,23 +389,20 @@ class SweepConfig:
 def _groups(config: SweepConfig):
     """The sweep grid in output order, one distinct (material, state) at a time.
 
-    Yields (mat, state, D, cols, errors); cols and errors are one
-    qr_energies call's output (errors an object array like the columns),
-    reordered by a stable sort of D. A (material, state) that the grid holds
-    k times is solved once and each of its rows is repeated k times, so the
-    rows come in the order of a sort of the grid by (material, parity, m,
-    n_r, delta, D) and rows with equal keys are equal.
+    Yields (mat, state, D, cols, errors): state's block of its material's one
+    chain call (errors an object array like the columns), over D in stable
+    sorted order. A (material, state) that the grid holds k times has each of
+    its rows repeated k times, so the rows come in the order of a sort of the
+    grid by (material, parity, m, n_r, delta, D) and rows with equal keys are
+    equal.
     """
-    def key(pair):
-        mat, state = pair
-        return mat.name, state.parity.value, state.m, state.n_r, state.delta
-
-    counts = Counter((mat, state) for mat in config.materials for state in config.states)
-    d_values = np.array(config.d_values, dtype=float)
-    for mat, state in sorted(counts, key=key):
-        cols, errors = qr_energies(state, mat, d_values)
-        order = np.repeat(np.argsort(d_values, kind="stable"), counts[mat, state])
-        yield mat, state, d_values[order], {c: v[order] for c, v in cols.items()}, errors[order]
+    d_values = np.sort(np.array(config.d_values, dtype=float), kind="stable")
+    mats, states = Counter(config.materials), Counter(config.states)
+    for mat, rows in _solve(mats, states, d_values):
+        for state in sorted(states, key=lambda s: (s.parity.value, s.m, s.n_r, s.delta)):
+            each = np.repeat(np.arange(d_values.size), mats[mat] * states[state])
+            cols, errors = rows[state]
+            yield mat, state, d_values[each], {c: v[each] for c, v in cols.items()}, errors[each]
 
 
 def sweep(config: SweepConfig) -> list:

@@ -268,6 +268,7 @@ def test_usage_errors_exit_1():
                  ["corrections", "--D-range", "1:2:3:4"],
                  ["ab-sweep", "--m", "0", "--parity", "se"],
                  ["corrections", "--D-range", "0:inf:1"],
+                 ["corrections", "--D-range", "0:1e300:1e-300"],  # the count overflows
                  ["wavefunction", "--points", "-1"],
                  ["nonsense"],
                  []):
@@ -473,18 +474,48 @@ def test_material_failure_is_a_warning_on_every_row():
         assert code == 3 and out == "" and "SystemParams fields must be finite" in err
 
 
-def test_repeated_materials_and_states_are_solved_once(monkeypatch):
-    calls = []
-    qr_energies = spectrum.qr_energies
-    monkeypatch.setattr(spectrum, "qr_energies",
-                        lambda *args: calls.append(args) or qr_energies(*args))
+def test_repeated_materials_and_states_are_solved_once(energies_calls):
     code, out, err = _run(["corrections", "--material", "GaAs,GaAs", "--m", "1,1",
                            "--D-range", "0:1:0.25"])
-    assert code == 0 and err == "" and len(calls) == 1
+    assert code == 0 and err == "" and len(energies_calls) == 1
     _, single, _ = _run(["corrections", "--m", "1", "--D-range", "0:1:0.25"])
     header, *rows = single.splitlines()
     assert out.splitlines() == [header, *(row for row in rows for _ in range(4))]
     assert len(out.splitlines()) == 21
+
+
+_D_AXIS = ["--D-range", "0:1:0.5"]
+
+
+@pytest.mark.parametrize("command, repeated, single, by_row", [
+    # single: the argv of each state's own run in output order, and its count
+    ("energies", ["--m", "1,2,1", "--D", "3"],
+     [(["--m", "1", "--D", "3"], 2), (["--m", "2", "--D", "3"], 1)], True),
+    ("corrections", ["--m", "2,1,2", "--parity", "ce,se", *_D_AXIS],
+     [(["--m", m, "--parity", p, *_D_AXIS], 1 + (m == "2")) for p in ("ce", "se")
+      for m in "12"], True),
+    ("transitions", ["--parity", "ce,se,ce", "--m-lo", "1", "--m-hi", "2", *_D_AXIS],
+     [(["--parity", p, "--m-lo", "1", "--m-hi", "2", *_D_AXIS], 1) for p in ("ce", "se", "ce")],
+     False),
+    ("ab-sweep", ["--m", "1,0,1", "--D", "2", "--delta-range", "0:1:0.5"],
+     [(["--m", m, "--D", "2", "--delta-range", "0:1:0.5"], 1) for m in "101"], False),
+])
+def test_table_commands_solve_each_distinct_material_once(energies_calls, command, repeated,
+                                                          single, by_row):
+    # each material is one chain call; energies and corrections repeat a
+    # repeated state or material row by row, transitions and ab-sweep block by block
+    code, out, err = _run([command, "--material", "GaAs,CdSe,GaAs", *repeated])
+    assert code == 0 and err == ""
+    assert [mat.name for _, mat in energies_calls] == ["CdSe", "GaAs"]
+    want = []
+    for name, k in (("CdSe", 1), ("GaAs", 2)):
+        blocks = [(_run([command, "--material", name, *argv])[1].splitlines()[1:], count)
+                  for argv, count in single]
+        if by_row:
+            want += [row for block, count in blocks for row in block for _ in range(count * k)]
+        else:
+            want += [row for block, _ in blocks for row in block] * k
+    assert out.splitlines()[1:] == want
 
 
 def test_transitions_with_no_valid_parity_is_a_usage_error():

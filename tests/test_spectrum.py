@@ -202,34 +202,21 @@ def test_transition_over_an_array_of_d():
         transition(hi, lo, replace(GAAS, hbar_omega0=-1.0), np.array([]))
 
 
-def test_transition_solves_each_state_once(monkeypatch):
-    # the D = 0 reference rides along as row 0 of each state's D array
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return qr_energies(*args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "qr_energies", counted)
+def test_transition_solves_each_state_once(energies_calls):
+    # both states go through one chain call; the D = 0 reference rides along
+    # as row 0 of each state's D array
     hi, lo = QuantumState(0, 2, Branch.CE), QuantumState(0, 1, Branch.CE)
     de_with, _, _ = transition(hi, lo, GAAS, np.linspace(0.0, 10.0, 11))
-    assert len(calls) == 2 and de_with.shape == (11,)
+    assert energies_calls == [((hi, lo), GAAS)] and de_with.shape == (11,)
 
 
-def test_repeated_grid_pairs_are_solved_once(monkeypatch):
-    # a (material, state) that the grid holds four times is one qr_energies
-    # call, and each of its rows comes four times in a row
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return qr_energies(*args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "qr_energies", counted)
+def test_repeated_grid_pairs_are_solved_once(energies_calls):
+    # a (material, state) that the grid holds four times is solved in one
+    # chain call, and each of its rows comes four times in a row
     state = QuantumState(0, 1, Branch.CE)
     d_values = (0.5, 0.0, 900.0, 0.5)
     rows = sweep(SweepConfig((GAAS, GAAS), (state, state), d_values))
-    assert len(calls) == 1
+    assert energies_calls == [((state,), GAAS)]
     single = sweep(SweepConfig((GAAS,), (state,), d_values))
     assert [(r.D, r.correction, r.error) for r in rows] == [
         (r.D, r.correction, r.error) for r in single for _ in range(4)]
