@@ -53,12 +53,10 @@ def _parity_list(text: str):
     out = []
     for p in text.split(","):
         p = p.strip().lower()
-        if p == "ce":
-            out.append(Branch.CE)
-        elif p == "se":
-            out.append(Branch.SE)
-        else:
-            raise UsageError(f"parity must be ce or se, got {p!r}")
+        try:
+            out.append(Branch(p))
+        except ValueError:
+            raise UsageError(f"parity must be ce or se, got {p!r}") from None
     return out
 
 
@@ -158,8 +156,7 @@ def _build_parser():
     add("materials", "list built-in material parameter sets")
 
     p = add("verify", "run oracle cross-checks")
-    p.add_argument("--suite", default="all",
-                   choices=["angular", "radial", "series", "normalization", "all"])
+    p.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
     return top
 
 
@@ -263,85 +260,68 @@ def _cmd_materials(args):
     return 0
 
 
-# --- verify suites -----------------------------------------------------------
+# --- verify suites: each yields one error per case, in case order -------------
 
 def _verify_angular():
-    worst = 0.0
-    cases = 0
     gaas = get_material("GaAs")
     for delta in (0.0, 0.25, 0.5):
         for p in (0.0, 0.1, 0.21):
             fds = [oracle.angular_fd_eigs(delta, p, N) for N in (64, 128, 256)]
-            params = from_material(gaas, 0.0, delta)
-            # build params with the exact q requested
-            params = replace(params, D_theta=p / (4.0 * params.mu))
+            # params with the exact q = 4 mu D_theta requested
+            params = replace(from_material(gaas, 0.0, delta), D_theta=p / (4.0 * gaas.m_star))
             for state in _states((Branch.CE, Branch.SE), range(4), [0], delta):
-                e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
-                ests = []
-                for fd in fds:
-                    i = int(np.argmin(np.abs(fd.eigenvalues - e_theta)))
-                    ests.append(fd.eigenvalues[i])
-                rep = oracle.convergence_report(ests)
-                worst = max(worst, abs(rep.extrapolated - e_theta))
-                cases += 1
-    return cases, worst, 1e-8
+                e_theta = spectrum.angular_eigenvalue(state, params)[0]
+                ests = [fd.eigenvalues[np.argmin(np.abs(fd.eigenvalues - e_theta))] for fd in fds]
+                yield abs(oracle.convergence_report(ests).extrapolated - e_theta)
 
 
 def _verify_radial():
-    worst = 0.0
-    cases = 0
     gaas = get_material("GaAs")
     for d in (0.0, 5.0, 10.0):
         params = from_material(gaas, d, 0.0)
         a2 = params.a_length ** 2
         for state in _states((Branch.CE, Branch.SE), range(3), [0], 0.0):
-            e_theta, _, _, _ = spectrum.angular_eigenvalue(state, params)
+            e_theta = spectrum.angular_eigenvalue(state, params)[0]
             fd = oracle.radial_fd_eigs(e_theta, params, 3)
             _, alpha = spectrum.radial_exponent(e_theta, params)
             for nr in range(3):
                 eps = (4 * nr + 4 * alpha + 1) / a2
-                worst = max(worst, abs(fd.eigenvalues[nr] - eps) / eps)
-                cases += 1
-    return cases, worst, 1e-6
+                yield abs(fd.eigenvalues[nr] - eps) / eps
 
 
 def _verify_series():
-    worst = 0.0
-    cases = 0
     for m in (4, 5, 6):
         for p in (0.1, 0.5, 1.0):
             diff = abs(char_value_series(m, p) - char_value(m, Branch.CE, p).value)
-            worst = max(worst, diff / series_p8_estimate(m, p))
-            cases += 1
-    return cases, worst, 10.0
+            yield diff / series_p8_estimate(m, p)
 
 
 def _verify_normalization():
     gaas = get_material("GaAs")
-    worst = 0.0
-    cases = 0
     for d in (0.0, 10.0):
         for state in _states((Branch.CE, Branch.SE), (0, 1), (0, 2), 0.0):
             spec = wavefun.make_wave(state, from_material(gaas, d, 0.0))
-            n_quad = wavefun.normalize_numeric(spec)
-            worst = max(worst, abs((spec.N / n_quad) ** 2 - 1.0))
-            cases += 1
-    return cases, worst, 1e-9
+            yield abs((spec.N / wavefun.normalize_numeric(spec)) ** 2 - 1.0)
+
+
+# each suite with the tolerance on its worst error
+_SUITES = {
+    "angular": (_verify_angular, 1e-8),
+    "radial": (_verify_radial, 1e-6),
+    "series": (_verify_series, 10.0),
+    "normalization": (_verify_normalization, 1e-9),
+}
 
 
 def _cmd_verify(args):
-    suites = {
-        "angular": _verify_angular,
-        "radial": _verify_radial,
-        "series": _verify_series,
-        "normalization": _verify_normalization,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    rows = [[name, *suites[name]()] for name in names]
-    ok = [worst <= tol for _, _, worst, tol in rows]
-    _emit(args, ["check", "cases", "worst", "tol", "status"],
-          [[*row, "ok" if good else "FAIL"] for row, good in zip(rows, ok)])
-    return 0 if all(ok) else 2
+    rows = []
+    for name in _SUITES if args.suite == "all" else [args.suite]:
+        suite, tol = _SUITES[name]
+        errors = list(suite())
+        worst = max([0.0, *errors])
+        rows.append([name, len(errors), worst, tol, "ok" if worst <= tol else "FAIL"])
+    _emit(args, ["check", "cases", "worst", "tol", "status"], rows)
+    return 0 if all(row[-1] == "ok" for row in rows) else 2
 
 
 _COMMANDS = {
@@ -382,18 +362,11 @@ def run(argv) -> int:
     try:
         args = _parse(_build_parser(), list(argv))
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"qring: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except DomainError as exc:
-        print(f"qring: domain error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except NumericsError as exc:
-        print(f"qring: numerics error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except QringError as exc:
-        print(f"qring: {exc}", file=sys.stderr)
-        return 2
+        kind = ("domain error: " if isinstance(exc, DomainError) else
+                "numerics error: " if isinstance(exc, NumericsError) else "")
+        print(f"qring: {kind}{exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

@@ -4,6 +4,7 @@ Exit-code contract for the CLI: usage errors exit 1, numerics errors
 (convergence, integration, evaluation) exit 2, domain errors (bad
 parameters, supercritical collapse, Pochhammer poles) exit 3.
 """
+import math
 
 
 class QringError(Exception):
@@ -61,3 +62,10 @@ class SupercriticalError(DomainError):
 
 class PoleError(DomainError):
     """A denominator Pochhammer hit zero before series termination."""
+
+
+def _count(name, value) -> int:
+    """int(value); ParameterError unless value is a non-negative integer (nan, inf are not)."""
+    if not (value >= 0 and value != math.inf and int(value) == value):
+        raise ParameterError(f"{name} must be a non-negative integer, got {value}")
+    return int(value)

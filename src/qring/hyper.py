@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import EvaluationError, IntegrationError, ParameterError, PoleError
+from .errors import EvaluationError, IntegrationError, ParameterError, PoleError, _count
 
 
 def gamma(x: float) -> float:
@@ -35,20 +35,18 @@ def hyp1f1_poly(n_r: int, b: float, x: float) -> float:
     (b+j) M_{j+1} = (2j+b-x) M_j - j M_{j-1}, stable where the power sum
     cancels. x may be an array; n_r = 0 gives the scalar 1.0.
     """
-    if n_r < 0 or int(n_r) != n_r:
-        raise ParameterError(f"n_r must be a non-negative integer, got {n_r}")
+    n = _count("n_r", n_r)
     if b <= 0.0 and b == round(b):
         raise ParameterError(f"b must not be a non-positive integer, got {b}")
     prev, cur = 0.0, 1.0
-    for j in range(int(n_r)):
+    for j in range(n):
         prev, cur = cur, ((2 * j + b - x) * cur - j * prev) / (b + j)
     return cur
 
 
 def laguerre(n: int, k: float, x: float) -> float:
     """Generalized Laguerre L_n^{(k)}(x) = binom(n+k, n) 1F1(-n, k+1, x)."""
-    if n < 0 or int(n) != n:
-        raise ParameterError(f"degree must be a non-negative integer, got {n}")
+    _count("degree", n)
     if k <= -1.0:
         raise ParameterError(f"order must satisfy k > -1, got {k}")
     log_binom = math.lgamma(n + k + 1.0) - math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
@@ -97,13 +95,11 @@ def normalization_constant(n_r: int, alpha: float, a: float) -> float:
     (wavefun.normalize_numeric); the numerically validated value is
     authoritative where the two disagree. See DISCREPANCIES.md.
     """
-    if n_r < 0 or int(n_r) != n_r:
-        raise ParameterError(f"n_r must be a non-negative integer, got {n_r}")
+    n = _count("n_r", n_r)
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
     if a <= 0.0:
         raise ParameterError(f"length scale a must be > 0, got {a}")
-    n = int(n_r)
     trace = []
 
     def traced(label, fn, *args):

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, _count
 
 _HALF_START = 5  # first window half-width on the cosine and sine lattices, in sites
 _HALF_START_FLOQUET = 10  # first window half-width on the Floquet lattice
@@ -290,11 +290,10 @@ def char_values(branch: Optional[Branch], order, q):
 
 
 def _check_m(m, branch: Branch) -> int:
-    if m < 0 or int(m) != m:
-        raise ParameterError(f"m must be a non-negative integer, got {m}")
+    m = _count("m", m)
     if branch is Branch.SE and m == 0:
         raise ParameterError("SE requires m >= 1 (no sine-elliptic order-0 state)")
-    return int(m)
+    return m
 
 
 def char_value(m: int, branch: Branch, q: float) -> MathieuChar:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import mathieu
-from .errors import EvaluationError, ParameterError, SupercriticalError
+from .errors import EvaluationError, ParameterError, SupercriticalError, _count
 from .mathieu import Branch, _fail, _raise_first
 from .params import MaterialSpec, SystemParams, ev_to_hartree, from_material, hartree_to_ev
 
@@ -38,10 +38,8 @@ class QuantumState:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.n_r < 0 or int(self.n_r) != self.n_r:
-            raise ParameterError(f"n_r must be a non-negative integer, got {self.n_r}")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ParameterError(f"m must be a non-negative integer, got {self.m}")
+        _count("n_r", self.n_r)
+        _count("m", self.m)
         if self.parity is Branch.SE and self.m == 0:
             raise ParameterError("m = 0 states exist only for the ce branch")
         if not math.isfinite(self.delta):
@@ -240,9 +238,10 @@ def _energies(states, mat: MaterialSpec, D, delta=None):
         d_theta = D / mat.eps_r
     try:
         params = from_material(mat, 0.0, 0.0)
-        invalid = ~((D >= 0.0) & np.isfinite(d_theta) & np.isfinite(delta))
-    except ParameterError:
-        params, invalid = None, np.ones(D.shape, dtype=bool)
+    except ParameterError as exc:  # a valid row raises the material's error, word for word
+        params = None
+        errors.fill(exc)
+    invalid = ~((D >= 0.0) & np.isfinite(d_theta) & np.isfinite(delta))
     for i in invalid.nonzero()[0]:  # the row's own error, as qr_energy raises it
         try:
             row_state = replace(states[0], delta=float(delta[i]))

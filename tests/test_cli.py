@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qring import (Branch, QuantumState, SweepConfig, ab_correction, char_value_series,
                    from_material, get_material, make_wave, series_p8_estimate, spectrum, sweep,
                    transition)
+from qring import cli
 from qring.cli import _floats_from_range, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -551,13 +552,31 @@ def test_float_range_parsing():
     assert len(_floats_from_range("0:10:0.1")) == 101
 
 
-def test_verify_subcommand_csv():
-    code, out, _ = _run(["verify", "--suite", "series"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "check,cases,worst,tol,status"
-    fields = lines[1].split(",")
-    assert fields[0] == "series" and fields[-1] == "ok"
+_VERIFY_CASES = {"angular": 63, "radial": 45, "series": 9, "normalization": 12}
+
+
+@pytest.mark.parametrize("suite", ["angular", "radial", "series", "normalization", "all"])
+def test_verify_subcommand_csv(suite):
+    # one row per suite, the four of all in table order
+    code, out, err = _run(["verify", "--suite", suite])
+    names = list(_VERIFY_CASES) if suite == "all" else [suite]
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["check", "cases", "worst", "tol", "status"]
+    assert [(r[0], int(r[1]), r[4]) for r in rows[1:]] == [(n, _VERIFY_CASES[n], "ok")
+                                                           for n in names]
+    assert all(0.0 <= float(r[2]) <= float(r[3]) for r in rows[1:])
+
+
+def test_verify_failure_exits_2(monkeypatch):
+    # one case above the tolerance fails the suite; worst is the largest error
+    monkeypatch.setitem(cli._SUITES, "series", (lambda: iter([0.5, 20.0, 3.0]), 10.0))
+    code, out, err = _run(["verify", "--suite", "series"])
+    assert code == 2 and err == ""
+    assert out.splitlines()[1] == "series,3,20,10,FAIL"
+    monkeypatch.setitem(cli._SUITES, "series", (lambda: iter([]), 10.0))
+    assert _run(["verify", "--suite", "series"]) == (0, "check,cases,worst,tol,status\n"
+                                                        "series,0,0,10,ok\n", "")
 
 
 def test_help_exits_zero():

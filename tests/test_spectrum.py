@@ -17,10 +17,15 @@ from qring import (
     SystemParams,
     ab_correction,
     angular_eigenvalue,
+    char_value,
     correction,
     energy,
+    fourier_coeffs,
     from_material,
     get_material,
+    hyp1f1_poly,
+    laguerre,
+    normalization_constant,
     qr_energy,
     radial_exponent,
     sweep,
@@ -39,6 +44,23 @@ def test_state_validation():
         QuantumState(0, -2, Branch.CE)
     with pytest.raises(ParameterError):
         QuantumState(0, 0, Branch.SE)  # se starts at m = 1
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_r", lambda v: QuantumState(v, 1, Branch.CE)),
+    ("m", lambda v: QuantumState(0, v, Branch.CE)),
+    ("m", lambda v: char_value(v, Branch.CE, 0.1)),
+    ("m", lambda v: fourier_coeffs(v, Branch.SE, 0.1)),
+    ("n_r", lambda v: hyp1f1_poly(v, 1.5, 0.3)),
+    ("degree", lambda v: laguerre(v, 0.5, 0.3)),
+    ("n_r", lambda v: normalization_constant(v, 1.0, 1.0)),
+], ids=["QuantumState.n_r", "QuantumState.m", "char_value", "fourier_coeffs", "hyp1f1_poly",
+        "laguerre", "normalization_constant"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1, 1.5])
+def test_counts_must_be_non_negative_integers(name, call, value):
+    # nan and inf used to escape int() as a raw ValueError or OverflowError
+    with pytest.raises(ParameterError, match=f"^{name} must be a non-negative integer, got "):
+        call(value)
 
 
 def test_radial_ladder_spacing():
@@ -115,6 +137,23 @@ def test_material_failure_is_an_error_on_every_row():
     assert "must be finite" in str(errors[0])
     assert set(cols) == set(qr_energies(state, GAAS, 0.0)[0])
     assert all(c.shape == (3,) and np.isnan(c).all() for c in cols.values())
+
+
+def test_failing_material_is_validated_once(monkeypatch):
+    # valid rows take the material's error; only a row with its own bad D is rebuilt
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return from_material(*args)
+
+    monkeypatch.setattr(spectrum, "from_material", counted)
+    state, bad = QuantumState(0, 1, Branch.CE), replace(GAAS, hbar_omega0=1e300)
+    _, errors = qr_energies(state, bad, np.linspace(0.0, 10.0, 1001))
+    assert len(calls) == 1 and {str(e) for e in errors} == {"SystemParams fields must be finite"}
+    _, errors = qr_energies(state, bad, [1.0, -1.0, 2.0])
+    assert len(calls) == 3 and [str(e).split()[0] for e in errors] == ["SystemParams", "dipole",
+                                                                        "SystemParams"]
 
 
 def test_material_failure_columns_are_separate_arrays():
