@@ -36,8 +36,8 @@ def hyp1f1_poly(n_r: int, b: float, x: float) -> float:
     cancels. x may be an array; n_r = 0 gives the scalar 1.0.
     """
     n = _count("n_r", n_r)
-    if b <= 0.0 and b == round(b):
-        raise ParameterError(f"b must not be a non-positive integer, got {b}")
+    if not math.isfinite(b) or (b <= 0.0 and b == round(b)):
+        raise ParameterError(f"b must be finite and not a non-positive integer, got {b}")
     prev, cur = 0.0, 1.0
     for j in range(n):
         prev, cur = cur, ((2 * j + b - x) * cur - j * prev) / (b + j)
@@ -47,8 +47,8 @@ def hyp1f1_poly(n_r: int, b: float, x: float) -> float:
 def laguerre(n: int, k: float, x: float) -> float:
     """Generalized Laguerre L_n^{(k)}(x) = binom(n+k, n) 1F1(-n, k+1, x)."""
     _count("degree", n)
-    if k <= -1.0:
-        raise ParameterError(f"order must satisfy k > -1, got {k}")
+    if not -1.0 < k < math.inf:
+        raise ParameterError(f"order must be finite and satisfy k > -1, got {k}")
     log_binom = math.lgamma(n + k + 1.0) - math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
     if log_binom > math.log(sys.float_info.max):
         raise EvaluationError(f"binom(n+k, n) overflows a double for n = {n}, k = {k}")
@@ -61,7 +61,7 @@ def hyp3f2_unit(a1: int, a2: float, a3: float, b1: float, b2: float) -> float:
     Raises PoleError if a denominator Pochhammer vanishes before the series
     has terminated (either via a1 or via an earlier-vanishing numerator).
     """
-    if a1 > 0 or int(a1) != a1:
+    if not (-math.inf < a1 <= 0 and int(a1) == a1):
         raise ParameterError(f"first parameter must be a non-positive integer, got {a1}")
     n = int(-a1)
     acc = 1.0

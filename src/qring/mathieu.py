@@ -8,20 +8,24 @@ Floquet exponent nu couples the shifted lattice exp(i(nu+2k)z), k in Z.
 
 All three are solved by one kernel over arrays of order and q. It cuts a
 window of 2h+1 sites around the site of the wanted mode (clipped at the
-bottom of the cosine and sine lattices), stacks the windows of the rows into
-numpy eigh calls, takes the eigenvector that continues the q = 0 mode, and
-refines its value by one long-double Rayleigh quotient. A row is accepted
-when
+bottom of the cosine and sine lattices) and finds its eigenvector: by
+Rayleigh-quotient iteration over the stack of rows (Parlett, The Symmetric
+Eigenvalue Problem, 1998, ch. 4) where the window is cut off the lattice
+bottom, else, and for any row the iteration leaves uncertified, by stacked
+numpy eigh. The value is the vector's long-double Rayleigh quotient. A row
+is accepted when
 
 * |q| * tail <= 1e-12, with tail the norm of the components at the window
   ends that truncate the lattice: the zero-padded vector then has that
   residual in the untruncated operator, so an exact eigenvalue lies that
-  close (Parlett, The Symmetric Eigenvalue Problem, 1998, 4.5), and
-  tail <= 1e-14 of the largest component;
+  close (Parlett, 4.5), and tail <= 1e-14 of the largest component;
+* an iterated vector v has |T v - value v| <= 2**-48 (d_top + 2 |q|) in its
+  window: the iteration has converged (Ipsen, SIAM Review 39, 1997);
 * a Sturm count of the lattice from its bottom (k = 0, or on the Floquet
   lattice the mirror of the window top) to the window top confirms that
   the value is the wanted one in sorted order (Barth, Martin & Wilkinson,
-  Numer. Math. 9, 1967); the count takes no eigensolve.
+  Numer. Math. 9, 1967); it takes no eigensolve. At the bottom of the
+  cosine and sine lattices eigh's sorted position is the label.
 
 Rows that fail are solved again on a window of twice the half-width; past a cap
 they get a ConvergenceError. The first window has 5 sites on each side of the
@@ -36,8 +40,8 @@ and se labels of one m share it), in equal stacks of at most 2**17 entries: a
 1,000-row axis of 11-site windows fits one. A corrections sweep over 3
 materials, 7 states and 1,001 D sends 4,004 cosine rows per material to one
 call; its process peaked at 41.4 MB RSS with 2**18 entries and 38.2 MB with
-2**17, and a 3,507-row flux sweep at 36.5 and 34.5 MB (x86-64, Python 3.11,
-numpy 2.4).
+2**17, and a 3,507-row flux sweep at 36.5 and 34.5 MB while eigh solved its
+rows, 32.5 MB since they are iterated (x86-64, Python 3.11, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -58,6 +62,8 @@ _ORDER_MAX = 0.5 * math.sqrt(np.finfo(float).max)  # largest m (nu/2) whose (2m)
 _STACK_ENTRIES = 1 << 17  # array entries per stack of rows solved together (1 MB)
 _TRUNC_TOL = 1e-12  # residual bound |q| * tail on the characteristic value
 _TAIL_TOL = 1e-14  # outermost coefficient relative to the largest
+_RESID_TOL = 2.0 ** -48  # in-window residual of an iterated vector, over the window's norm bound
+_STEPS = 8  # Rayleigh-quotient steps before a row goes to eigh
 _Q_BOUND = 1e4  # truncation-validity bound for |q|
 
 
@@ -109,11 +115,9 @@ def _diagonal(branch: Optional[Branch], order, k):
 
 
 def _coupling(branch: Optional[Branch], q, k):
-    """Off-diagonal between sites k and k+1."""
-    if branch is Branch.CE:
-        # couples the constant mode to cos 2z
-        return np.where(k == 0, math.sqrt(2.0) * q, q)
-    return q
+    """Off-diagonal between sites k and k+1, of the shape of q and k broadcast."""
+    # sqrt(2) couples the constant CE mode to cos 2z
+    return np.where((k == 0) & (branch is Branch.CE), math.sqrt(2.0) * q, q)
 
 
 def _sturm_count(branch, order, q, bottom, top, x):
@@ -125,29 +129,74 @@ def _sturm_count(branch, order, q, bottom, top, x):
     segment are padded with uncoupled sites of pivot 1. The sites are taken
     in blocks that keep the arrays within the stack budget.
     """
-    pivmin = np.finfo(float).tiny * np.maximum(q * q, 1.0)
-    count = np.zeros(x.shape, dtype=int)
-    pivot = np.ones(x.shape)
+    pivmin = np.full(x.shape, np.finfo(float).tiny * np.maximum(q * q, 1.0))
+    count, pivot, neg = np.zeros(x.shape, dtype=int), np.ones(x.shape), -pivmin
     length = int(np.max(top - bottom)) + 1
-    block = max(1, _STACK_ENTRIES // (3 * q.size))
+    block = max(1, _STACK_ENTRIES // (4 * q.size))
     for start in range(0, length, block):
-        k = top[:, None] - np.arange(start, min(length, start + block))
-        inside = k >= bottom[:, None]
-        dx = np.where(inside, _diagonal(branch, order[:, None], k) - x[..., None], 1.0)
-        e2 = np.where(inside, _coupling(branch, q[:, None], k) ** 2, 0.0)  # to the site above
-        for t in range(k.shape[1]):
-            pivot = dx[..., t] - e2[:, t] / pivot if start + t else dx[..., 0]
-            dx[..., t] = pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
-        count += (dx < 0.0).sum(axis=-1)
+        k = top - np.arange(start, min(length, start + block))[:, None]  # sites by rows
+        inside = k >= bottom
+        dx = np.where(inside[:, None], _diagonal(branch, order, k)[:, None] - x, 1.0)
+        # to the site above, none above the top
+        e2 = np.where(inside & (k < top), _coupling(branch, q, k) ** 2, 0.0)[:, None].repeat(2, 1)
+        for dxt, e2t in zip(dx, e2):
+            dxt -= e2t / pivot
+            np.putmask(dxt, np.abs(dxt) < pivmin, neg)
+            pivot = dxt
+        count += (dx < 0.0).sum(axis=0)
     return count
 
 
-def _window(branch, order, q, h):
-    """Solve one stack of rows on windows of half-width h.
+def _inverse_iteration(d, e, shift, tol):
+    """Unit eigenvectors of the tridiagonal windows (d, e) by Rayleigh-quotient iteration.
+
+    shift is first refined by two fixed-point steps of the continued fraction
+    of the centre site h through three sites on each side. A step factors
+    T - sigma twisted at h (Parlett & Dhillon, Linear Algebra Appl. 309,
+    2000): pivots run in from both ends, the x with x_h = 1 and
+    (T - sigma) x = gamma e_h is the product of the ratios out from h, and
+    sigma + gamma / |x|^2, its Rayleigh quotient, is the next sigma. A row
+    stops, its sigma kept, once its residual |gamma| / |x| is within tol; a
+    row that has not within _STEPS steps is nan.
+    """
+    n = d.shape[1]
+    h = n // 2
+    fold = np.arange(h)[:, None] * [1, -1] + [0, n - 1]  # sites j and n - 1 - j, j < h
+    dd, ee = d.T[fold], e.T[fold - [0, 1]]  # by site, then row; e couples each site inward
+    ee2, ratio, centre, tol2, sigma = ee * ee, -ee[::-1], d[:, h], tol * tol, shift
+    with np.errstate(all="ignore"):  # a zero pivot or an overflow leaves a row non-finite
+        for _ in range(2):
+            near = ee2[-2] / (sigma - dd[-2] - ee2[-3] / (sigma - dd[-3]))
+            near = ee2[-1] / (sigma - dd[-1] - near)
+            sigma = centre + near[0] + near[1]
+        for _ in range(_STEPS):
+            p = dd - sigma
+            prev = p[0]
+            for pivot, c2 in zip(p[1:], ee2):
+                pivot -= c2 / prev
+                prev = pivot
+            inward = ee2[-1] / p[-1]
+            gamma = centre - sigma - inward[0] - inward[1]
+            x = np.cumprod(ratio / p[::-1], axis=0)[::-1]
+            # summed site by site, so that a row's bits do not depend on its stack
+            norm2 = 1.0 + np.cumsum((x * x).reshape(n - 1, -1), axis=0)[-1]
+            done = gamma * gamma <= tol2 * norm2
+            if done.all():
+                break
+            sigma = np.where(done, sigma, sigma + gamma / norm2)
+        vec = np.ones((d.shape[0], n))
+        vec[:, fold] = x.transpose(2, 0, 1)
+        vec[~done] = np.nan
+        return vec / np.sqrt(norm2)[:, None]
+
+
+def _window(branch, order, q, h, iterate=True):
+    """Solve one stack of rows on windows of half-width h, by iteration if iterate is set.
 
     Returns (value, lo, vec, tail_ok, label_ok): the refined value, first
-    site and unit eigenvector of each row's window, and the two acceptance
-    tests of the module docstring.
+    site and unit eigenvector of each row's window, and the acceptance tests
+    of the module docstring; an iterated row that misses the in-window
+    residual bound or its label is solved again by eigh.
     """
     n = 2 * h + 1
     if branch is None:
@@ -161,34 +210,54 @@ def _window(branch, order, q, h):
     k = lo[:, None] + np.arange(n)
     d = _diagonal(branch, order[:, None], k)
     e = _coupling(branch, q[:, None], k[:, :-1])
-    mat = np.zeros((q.size, n * n))
-    mat[:, :: n + 1] = d
-    mat[:, n:: n + 1] = e  # the subdiagonal: eigh reads the lower triangle
-    _, v = np.linalg.eigh(mat.reshape(q.size, n, n))
-    # sorted position of the q = 0 mode in the window; on the Floquet lattice
-    # strict inequality resolves the odd-integer tie to the lower member
-    pos = label - lo if branch is not None else (d < (order * order)[:, None]).sum(axis=1)
-    vec = v[np.arange(q.size), :, pos]
+    scale = d[:, -1] + 2.0 * np.abs(q)  # bounds the norm of every window
+    # only the cosine and sine lattices end: at their bottom nothing is cut off
+    cut_below = lo > 0 if branch is not None else np.full(q.size, True)
+    iterated = cut_below & iterate
+    vec = np.empty((q.size, n))
+    # the iteration starts from the centre site's diagonal, moved by each neighbour as
+    # their 2 x 2 block moves it: finite where they meet (nu = 1), a tie to the lower one
+    if iterated.any():
+        di, ei = d[iterated], e[iterated]
+        half, c = (di[:, h, None] - di[:, h - 1:h + 2:2]) / 2.0, ei[:, h - 1:h + 1]
+        move = c * c / (half + np.where(half > 0.0, 1.0, -1.0) * np.hypot(half, c))
+        start = di[:, h] + move[:, 0] + move[:, 1]
+        vec[iterated] = _inverse_iteration(di, ei, start, _RESID_TOL * scale[iterated])
+    if (r := ~iterated).any():
+        mat = np.zeros((r.sum(), n * n))
+        mat[:, :: n + 1] = d[r]
+        mat[:, n:: n + 1] = e[r]  # the subdiagonal: eigh reads the lower triangle
+        _, v = np.linalg.eigh(mat.reshape(-1, n, n))
+        # sorted position of the q = 0 mode in the window; on the Floquet lattice
+        # strict inequality resolves the odd-integer tie to the lower member
+        pos = ((label - lo)[r] if branch is not None
+               else (d[r] < (order * order)[r, None]).sum(axis=1))
+        vec[r] = v[np.arange(v.shape[0]), :, pos]
     vl, dl, el = (a.astype(np.longdouble) for a in (vec, d, e))
     tv = dl * vl
     tv[:, :-1] += el * vl[:, 1:]
     tv[:, 1:] += el * vl[:, :-1]
-    value = ((vl * tv).sum(axis=1) / (vl * vl).sum(axis=1)).astype(float)
-
-    # only the cosine and sine lattices end: at their bottom nothing is cut off
-    cut_below = lo > 0 if branch is not None else True
+    value = (vl * tv).sum(axis=1) / (vl * vl).sum(axis=1)
     tail = np.where(cut_below, np.hypot(vec[:, 0], vec[:, -1]), np.abs(vec[:, -1]))
     tail_ok = (np.abs(q) * tail <= _TRUNC_TOL) & (tail <= _TAIL_TOL * np.abs(vec).max(axis=1))
-    # a window that starts at the lattice bottom has the label as its sorted
-    # position; others count from the bottom. An eigenvalue lies within the
-    # residual bound of value; the margin adds the pivots' backward error.
+    res = tv - value[:, None] * vl  # in the window
+    sound = ~iterated | ((res * res).sum(axis=1) <= (_RESID_TOL * scale) ** 2)
+    value = value.astype(float)
+    # a window that starts at the bottom of the cosine or sine lattice has the
+    # label as its sorted position; others count from the bottom. An eigenvalue
+    # lies within the residual bound of value; the margin adds the pivots'
+    # backward error. A sound iterated row is counted whatever its tail: if its
+    # label holds, eigh's vector would miss the tail bound as well.
     label_ok = np.ones(q.size, dtype=bool)
-    r = (tail_ok & (lo > bottom)).nonzero()[0]
+    r = (cut_below & sound & (tail_ok | iterated)).nonzero()[0]
     if r.size:
-        margin = _TRUNC_TOL + 64.0 * np.finfo(float).eps * (d[r, -1] + 2.0 * np.abs(q[r]))
+        margin = _TRUNC_TOL + 64.0 * np.finfo(float).eps * scale[r]
         below, upto = _sturm_count(branch, order[r], q[r], bottom[r], lo[r] + n - 1,
                                    value[r] + np.array([[-1.0], [1.0]]) * margin)
         label_ok[r] = (below <= label[r]) & (label[r] < upto)
+    r = (iterated & ~(sound & label_ok)).nonzero()[0]
+    if r.size:
+        value[r], _, vec[r], tail_ok[r], label_ok[r] = _window(branch, order[r], q[r], h, False)
     return value, lo, vec, tail_ok, label_ok
 
 
@@ -206,7 +275,7 @@ def _raise_first(errors):
             raise err
 
 
-def char_values(branch: Optional[Branch], order, q):
+def char_values(branch: Optional[Branch], order, q, _windows=False):
     """Characteristic values over arrays of order and q, broadcast together.
 
     branch CE/SE takes integer orders m >= 0 (m >= 1 for SE), whose value
@@ -215,9 +284,10 @@ def char_values(branch: Optional[Branch], order, q):
     windows), three arrays over the rows; errors and windows are object
     arrays. A row whose order or q is out of domain, or whose solve fails,
     has value nan and its QringError in errors; every other entry of errors
-    is None. windows[i] is row i's (first site, unit vector), a single site
-    at q = 0; it is None where errors[i] is set, and on the Floquet lattice
-    (branch None) at q = 0, whose window no caller reads.
+    is None. With _windows set (fourier_coeffs sets it), windows[i] is row
+    i's (first site, unit vector), a single site at q = 0; it is None where
+    errors[i] is set, on the Floquet lattice (branch None) at q = 0, whose
+    window no caller reads, and everywhere without _windows.
 
     Rows at q != 0 are solved as the module docstring describes; rows that
     repeat an (order, q) get the value, error and window of its one solve.
@@ -250,7 +320,7 @@ def char_values(branch: Optional[Branch], order, q):
     live = np.equal(errors, None)
     still = live & (q == 0.0)
     values[still] = (order[still] if branch is None else 2.0 * order[still]) ** 2
-    if branch is not None:  # the q = 0 mode is one site of the cosine or sine lattice
+    if _windows and branch is not None:  # the q = 0 mode is one site of the cosine or sine lattice
         for i in still.nonzero()[0]:
             windows[i] = (int(order[i]) - (branch is Branch.SE), np.ones(1))
 
@@ -281,7 +351,7 @@ def char_values(branch: Optional[Branch], order, q):
             values[rows] = value
             ok = tail_ok & label_ok
             failed.append(rows[~ok])
-            for j in ok.nonzero()[0]:
+            for j in ok.nonzero()[0] if _windows else ():
                 windows[rows[j]] = (int(lo[j]), vec[j])
         todo = np.concatenate(failed)
         h *= 2
@@ -379,7 +449,7 @@ def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
     below the window are zero.
     """
     m = _check_m(m, branch)
-    values, errors, windows = char_values(branch, m, q)
+    values, errors, windows = char_values(branch, m, q, _windows=True)
     _raise_first(errors)
     lo, vec = windows[0]
     coeffs = np.zeros(lo + vec.size)

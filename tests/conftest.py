@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from qring import spectrum
+from qring import mathieu, spectrum
 
 
 @pytest.fixture
-def eig_calls(monkeypatch):
-    """Shapes (stack, n, n) of the numpy.linalg.eigh calls the Mathieu kernel makes."""
+def solves(monkeypatch):
+    """(path, stack, n) of each stacked window solve the Mathieu kernel makes:
+    path "iteration" or "eigh", stack the rows solved together, n the sites."""
     calls = []
-    real = np.linalg.eigh
+    iterate, eigh = mathieu._inverse_iteration, np.linalg.eigh
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
+    def iterated(d, *args):
+        calls.append(("iteration", *d.shape))
+        return iterate(d, *args)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    def dense(a, *args, **kwargs):
+        calls.append(("eigh", *a.shape[:2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(mathieu, "_inverse_iteration", iterated)
+    monkeypatch.setattr(np.linalg, "eigh", dense)
     return calls
 
 

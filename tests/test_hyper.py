@@ -82,6 +82,18 @@ def test_hyp1f1_rejects_polynomial_breakdown():
         hyp1f1_poly(3, -5.0, 1.0)
 
 
+@pytest.mark.parametrize("function,args", [
+    (hyp3f2_unit, (math.nan, 1.0, 1.0, 1.0, 1.0)), (hyp3f2_unit, (-math.inf, 1.0, 1.0, 1.0, 1.0)),
+    (laguerre, (2, math.nan, 1.0)), (laguerre, (2, math.inf, 1.0)),
+    (hyp1f1_poly, (2, math.nan, 1.0)), (hyp1f1_poly, (2, math.inf, 1.0)),
+    (hyp1f1_poly, (2, -math.inf, 1.0))], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_non_finite_parameters_are_parameter_errors(function, args):
+    # nan passed every check and came back as nan; -inf and a nan first 3F2
+    # parameter raised a raw OverflowError or ValueError from int() or round()
+    with pytest.raises(ParameterError):
+        function(*args)
+
+
 def test_hyp3f2_against_mpmath():
     cases = [(0, 1.5, 2.5, 0.7, 3.0), (2, 3.0, 1.5, 2.5, -4.5),
              (3, 2.0, 1.5, 1.0, -1.5), (5, 5.5, 0.5, 2.0, -6.5)]

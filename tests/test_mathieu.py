@@ -10,6 +10,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
@@ -250,16 +252,20 @@ def test_every_live_row_has_a_window():
     # errors[i] is set; q = 0 has its one site
     for branch, order, q in ((Branch.CE, [0, 2, 3, 1e150, 70000], [0.0, 0.0, 0.3, 0.1, 0.5]),
                              (Branch.SE, [1, 3, 3], [0.0, 0.0, 2e4])):
-        _, errors, windows = mathieu.char_values(branch, order, q)
+        _, errors, windows = mathieu.char_values(branch, order, q, _windows=True)
         assert np.array_equal(np.equal(windows, None), np.not_equal(errors, None))
         for o, x, window in zip(order, q, windows):
             if x == 0.0 and window is not None:
                 site = int(o) - (branch is Branch.SE)
                 assert window[0] == site and window[1].tolist() == [1.0]
     # the Floquet lattice keeps no window at q = 0
-    _, errors, windows = mathieu.char_values(None, [0.5, 3.3, -1.0, 6.6], [0.0, 0.21, 0.0, 0.0])
+    _, errors, windows = mathieu.char_values(None, [0.5, 3.3, -1.0, 6.6], [0.0, 0.21, 0.0, 0.0],
+                                             _windows=True)
     assert list(np.equal(errors, None)) == [True, True, False, True]
     assert list(np.equal(windows, None)) == [True, False, True, True]
+    # and a caller that does not ask keeps none
+    for branch, order in ((Branch.CE, 3), (None, 3.3)):
+        assert list(mathieu.char_values(branch, order, [0.0, 0.21])[2]) == [None, None]
 
 
 def test_eval_angular_flux_phase():
@@ -328,50 +334,51 @@ def _wide_value(branch, order, q, K):
 
 
 @pytest.mark.parametrize("q", [0.1, 0.2118, 0.56])
-def test_one_eigensolve_per_value(eig_calls, q):
-    # at these q the first window meets the bound: one matrix, solved once,
-    # of 11 sites on the cosine and sine lattices and 21 on the Floquet one
+def test_one_eigensolve_per_value(solves, q):
+    # at these q the first window meets the bound: one matrix, solved once, of
+    # 11 sites at the bottom of the cosine and sine lattices, by eigh, and of
+    # 21 on the Floquet one, by iteration
     for m in range(4):
-        solves = [(11, lambda: char_value(m, Branch.CE, q)),
-                  (11, lambda: fourier_coeffs(m, Branch.CE, q)),
-                  (21, lambda: char_value_fractional(2.0 * (m + 0.3), q))]
+        cases = [(("eigh", 1, 11), lambda: char_value(m, Branch.CE, q)),
+                 (("eigh", 1, 11), lambda: fourier_coeffs(m, Branch.CE, q)),
+                 (("iteration", 1, 21), lambda: char_value_fractional(2.0 * (m + 0.3), q))]
         if m:
-            solves += [(11, lambda: char_value(m, Branch.SE, q)),
-                       (11, lambda: fourier_coeffs(m, Branch.SE, q))]
-        for n, solve in solves:
-            eig_calls.clear()
-            solve()
-            assert eig_calls == [(1, n, n)]
+            cases += [(("eigh", 1, 11), lambda: char_value(m, Branch.SE, q)),
+                      (("eigh", 1, 11), lambda: fourier_coeffs(m, Branch.SE, q))]
+        for solve, call in cases:
+            solves.clear()
+            call()
+            assert solves == [solve]
 
 
-def test_one_stacked_eigensolve_per_batch(eig_calls):
+def test_one_stacked_eigensolve_per_batch(solves):
     q = np.linspace(0.0, 0.56, 1001)  # the sweep grid's range of q
     for m in range(4):
-        eig_calls.clear()
+        solves.clear()
         values, errors, _ = mathieu.char_values(Branch.CE, m, q)
-        assert eig_calls == [(1000, 11, 11)]  # q = 0 is exact and takes no solve
+        assert solves == [("eigh", 1000, 11)]  # q = 0 is exact and takes no solve
         assert list(errors) == [None] * 1001 and values[0] == 4.0 * m * m
         assert [char_value(m, Branch.CE, x).value for x in q[::100]] == list(values[::100])
     # at larger q only the rows that miss the bound are solved again, wider
     q = np.linspace(0.0, 3.0, 1001)
-    eig_calls.clear()
+    solves.clear()
     values, errors, _ = mathieu.char_values(Branch.CE, 3, q)
-    assert eig_calls[0] == (1000, 11, 11)
-    wider = [stack for stack, n, _ in eig_calls[1:] if n == 21]
-    assert len(wider) == len(eig_calls) - 1 and 0 < sum(wider) < 1000
+    assert solves[0] == ("eigh", 1000, 11)
+    wider = [stack for path, stack, n in solves[1:] if (path, n) == ("eigh", 21)]
+    assert len(wider) == len(solves) - 1 and 0 < sum(wider) < 1000
     # in as few stacks as fit the budget, of even size
     assert len(wider) == -(-sum(wider) // (mathieu._STACK_ENTRIES // 21 ** 2))
     assert max(wider) - min(wider) <= 1
     assert [char_value(3, Branch.CE, x).value for x in q[::100]] == list(values[::100])
 
 
-def test_repeated_rows_are_solved_once(eig_calls, monkeypatch):
+def test_repeated_rows_are_solved_once(solves, monkeypatch):
     order = np.array([6.6, 2.5, 6.6, 6.6, 2.5, 7.3, -1.0, 6.6])
     q = np.array([0.21, 0.21, 0.21, 0.5, 0.21, 0.21, 0.21, 0.0])
-    values, errors, windows = mathieu.char_values(None, order, q)
+    values, errors, windows = mathieu.char_values(None, order, q, _windows=True)
     # four distinct live pairs at q != 0; the negative order and q = 0 take no solve
-    assert eig_calls == [(4, 21, 21)]
-    singles = [mathieu.char_values(None, o, x) for o, x in zip(order, q)]
+    assert solves == [("iteration", 4, 21)]
+    singles = [mathieu.char_values(None, o, x, _windows=True) for o, x in zip(order, q)]
     assert np.array_equal(values, [v[0] for v, _, _ in singles], equal_nan=True)
     assert [repr(e) for e in errors] == [repr(e[0]) for _, e, _ in singles]
     for window, (_, _, single) in zip(windows, singles):
@@ -380,22 +387,27 @@ def test_repeated_rows_are_solved_once(eig_calls, monkeypatch):
             assert window[0] == single[0][0] and window[1].tolist() == single[0][1].tolist()
     # a row that fails its solve: each copy carries an equal ConvergenceError
     monkeypatch.setattr(mathieu, "_HALF_CAP", 10)
-    _, errors, windows = mathieu.char_values(Branch.CE, [3, 3, 4], [500.0, 500.0, 0.2])
+    _, errors, windows = mathieu.char_values(Branch.CE, [3, 3, 4], [500.0, 500.0, 0.2],
+                                             _windows=True)
     assert [type(e) for e in errors] == [ConvergenceError, ConvergenceError, type(None)]
     assert str(errors[0]) == str(errors[1]) and list(windows[:2]) == [None, None]
 
 
-def test_the_flux_workload_solves_each_distinct_matrix_once(eig_calls, capsys):
+def test_the_flux_workload_solves_each_distinct_matrix_once(solves, capsys):
     from qring.cli import _floats_from_range, run
 
     grid = "0.001:1.001:0.002"
     assert run(["ab-sweep", "--material", "GaAs", "--m", "0,1,2,3", "--parity", "ce,se",
                 "--D", "10", "--delta-range", grid]) == 0
     # seven states over 501 non-integer fluxes: 3,507 Floquet rows, as many as
-    # distinct orders nu = 2(m + delta) at one q
+    # distinct orders nu = 2(m + delta) at one q, and the iteration certifies
+    # every one: eigh solves only the states' zero-flux rows, at the bottom of
+    # the cosine and sine lattices
     nus = {2.0 * (m + d) for m in range(4) for d in _floats_from_range(grid)}
-    assert sum(stack for stack, n, _ in eig_calls if n == 21) == len(nus) == 2001
-    assert all(stack * n * n <= mathieu._STACK_ENTRIES for stack, n, _ in eig_calls)
+    assert {(path, n) for path, _, n in solves} == {("iteration", 21), ("eigh", 11)}
+    assert sum(stack for path, stack, _ in solves if path == "iteration") == len(nus) == 2001
+    assert sum(stack for path, stack, _ in solves if path == "eigh") == 7
+    assert all(stack * n * n <= mathieu._STACK_ENTRIES for _, stack, n in solves)
     assert len(capsys.readouterr().out.splitlines()) == 1 + 7 * 501
 
 
@@ -416,10 +428,11 @@ def test_a_single_row_skips_the_search_for_repeats(monkeypatch):
     assert len(calls) == 1
 
 
-def test_large_q_doubles_the_truncation(eig_calls):
+def test_large_q_doubles_the_truncation(solves):
     value = char_value(10, Branch.CE, 1e4).value
-    # the window doubles until |q| * tail <= 1e-12
-    assert eig_calls == [(1, n, n) for n in (11, 21, 41, 81, 161)]
+    # the window doubles until |q| * tail <= 1e-12; the first one, cut off the
+    # lattice bottom, is tried by iteration and then by eigh
+    assert solves == [("iteration", 1, 11)] + [("eigh", 1, n) for n in (11, 21, 41, 81, 161)]
     assert value == pytest.approx(float(special.mathieu_a(20, 1e4)), rel=1e-12)
 
 
@@ -430,7 +443,8 @@ def test_returned_pair_meets_residual_bound(m, q):
     if m:
         cases.append((Branch.SE, m))
     for branch, order in cases:
-        values, errors, windows = mathieu.char_values(branch, np.array([order]), np.array([q]))
+        values, errors, windows = mathieu.char_values(branch, np.array([order]), np.array([q]),
+                                                      _windows=True)
         assert errors == [None]
         lo, vec = windows[0]
         at_bottom = branch is not None and lo == 0
@@ -450,6 +464,46 @@ def test_fractional_index_survives_mirror_states(m, delta, q):
     nu = 2.0 * (m + delta)
     wide = _wide_value(None, nu, q, 4096)
     assert char_value_fractional(nu, q).value == pytest.approx(wide, rel=1e-12)
+
+
+def _window_value(nu, q, lo, n):
+    """Long-double Rayleigh quotient of scipy's tridiagonal eigenvector at the
+    label's sorted position, on the Floquet window of n sites from site lo."""
+    d = (nu + 2.0 * (lo + np.arange(n))) ** 2
+    pos = int(np.sum(d < nu * nu))
+    _, v = eigh_tridiagonal(d, np.full(n - 1, q), select="i", select_range=(pos, pos))
+    vl, dl = v[:, 0].astype(np.longdouble), d.astype(np.longdouble)
+    tv = dl * vl
+    tv[:-1] += q * vl[1:]
+    tv[1:] += q * vl[:-1]
+    return float(np.dot(vl, tv) / np.dot(vl, vl))
+
+
+# nu within 0.05 of an odd integer up to 599, where the mirror site k = -nu of
+# the Floquet lattice meets nu^2 at q = 0; |q| log-uniform over [1e-300, 1e4],
+# either sign
+_NEAR_ODD = st.builds(lambda j, off: 2.0 * j + 1.0 + off,
+                      st.integers(0, 299), st.floats(-0.05, 0.05))
+_Q = st.builds(lambda x, sign: sign * 10.0 ** x,
+               st.floats(-300.0, 4.0), st.sampled_from([1.0, -1.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(rows=st.lists(st.tuples(_NEAR_ODD, _Q), min_size=1, max_size=4),
+       mates=st.lists(st.tuples(_NEAR_ODD, _Q), max_size=4))
+# where nu^2 and (nu - 2)^2 meet, and a wide window at the largest order and q
+@example(rows=[(1.0, 0.2), (0.96, -0.21), (1.04, 3.0), (3.03, 30.0)], mates=[(599.0, 1e4)])
+def test_iterated_floquet_rows_match_eigh_and_their_own_scalar_solves(rows, mates):
+    order, q = (np.array(a) for a in zip(*rows + mates))
+    values, errors, windows = mathieu.char_values(None, order, q, _windows=True)
+    for nu, x, value, error, (lo, vec) in list(zip(order, q, values, errors, windows))[:len(rows)]:
+        assert error is None
+        # the value of an eigensolve of the same window at the label's position
+        assert abs(value - _window_value(nu, x, lo, vec.size)) <= 2 * np.spacing(abs(value))
+        # bit for bit the scalar solve, vector too, whatever its stack-mates, and even in q
+        single, _, (window,) = mathieu.char_values(None, nu, x, _windows=True)
+        assert single[0] == value and window[0] == lo and window[1].tolist() == vec.tolist()
+        assert mathieu.char_values(None, nu, -x)[0][0] == value
 
 
 @pytest.mark.parametrize("branch,order,q,bottom,top", [
@@ -475,17 +529,33 @@ def test_sturm_count_matches_the_spectrum(branch, order, q, bottom, top):
 
 
 def test_sturm_count_rejects_a_wrong_label(monkeypatch):
-    # hand the kernel the eigenvector one above the wanted one: its residual
-    # bound holds on wide windows, but the label count must refuse it on every
-    # window that does not reach the bottom of the lattice
-    real = np.linalg.eigh
+    # hand the kernel a wrong eigenpair; the label count must refuse it on
+    # every window that does not reach the bottom of the lattice. First the
+    # iteration, from a start at the other member of the 2 x 2 block of the
+    # centre site and the one below it: at nu = 1.01, where nu^2 and
+    # (nu - 2)^2 nearly meet, it converges to that member and meets its
+    # residual bound, and eigh then gives the vector one above the wanted one
+    iterate, eigh = mathieu._inverse_iteration, np.linalg.eigh
+    converged = []
 
-    def shifted(a, *args, **kwargs):
-        w, v = real(a, *args, **kwargs)
+    def from_the_other_member(d, e, shift, tol):
+        h = d.shape[1] // 2
+        vec = iterate(d, e, d[:, h] + d[:, h - 1] - shift, tol)
+        converged.append(bool(np.isfinite(vec).all()))
+        return vec
+
+    monkeypatch.setattr(mathieu, "_inverse_iteration", from_the_other_member)
+    def one_above(a):
+        w, v = eigh(a)
         return w, np.roll(v, -1, axis=-1)
 
-    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    monkeypatch.setattr(np.linalg, "eigh", one_above)
     monkeypatch.setattr(mathieu, "_HALF_CAP", 64)
+    with pytest.raises(ConvergenceError):
+        char_value_fractional(1.01, 0.2)
+    assert converged == [True] * 3  # half-widths 10, 20 and 40
+    # then eigh's wrong vector alone, where the iteration gives up
+    monkeypatch.setattr(mathieu, "_inverse_iteration", lambda d, e, shift, tol: d * np.nan)
     with pytest.raises(ConvergenceError):
         char_value_fractional(2.0 * (40 + 0.3), 0.2)
     with pytest.raises(ConvergenceError):
