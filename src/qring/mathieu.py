@@ -11,9 +11,12 @@ window of 2h+1 sites around the site of the wanted mode (clipped at the
 bottom of the cosine and sine lattices) and finds its eigenvector: by
 Rayleigh-quotient iteration over the stack of rows (Parlett, The Symmetric
 Eigenvalue Problem, 1998, ch. 4) where the window is cut off the lattice
-bottom, else, and for any row the iteration leaves uncertified, by stacked
-numpy eigh. The value is the vector's long-double Rayleigh quotient. A row
-is accepted when
+bottom, started from the shift of the 2 x 2 blocks of the centre site and
+its neighbours; else, and for any row the iteration leaves uncertified, by
+stacked numpy eigh, whose sorted position of the wanted mode is min(label, h)
+on every lattice, the label being the number of lattice sites below it at
+q = 0. The value is the vector's long-double Rayleigh quotient. A row is
+accepted when
 
 * |q| * tail <= 1e-12, with tail the norm of the components at the window
   ends that truncate the lattice: the zero-padded vector then has that
@@ -24,8 +27,8 @@ is accepted when
 * a Sturm count of the lattice from its bottom (k = 0, or on the Floquet
   lattice the mirror of the window top) to the window top confirms that
   the value is the wanted one in sorted order (Barth, Martin & Wilkinson,
-  Numer. Math. 9, 1967); it takes no eigensolve. At the bottom of the
-  cosine and sine lattices eigh's sorted position is the label.
+  Numer. Math. 9, 1967); it takes no eigensolve. Windows at the bottom of
+  the cosine and sine lattices cut nothing off and need no count.
 
 Rows that fail are solved again on a window of twice the half-width; past a cap
 they get a ConvergenceError. The first window has 5 sites on each side of the
@@ -150,14 +153,13 @@ def _sturm_count(branch, order, q, bottom, top, x):
 def _inverse_iteration(d, e, shift, tol):
     """Unit eigenvectors of the tridiagonal windows (d, e) by Rayleigh-quotient iteration.
 
-    shift is first refined by two fixed-point steps of the continued fraction
-    of the centre site h through three sites on each side. A step factors
-    T - sigma twisted at h (Parlett & Dhillon, Linear Algebra Appl. 309,
-    2000): pivots run in from both ends, the x with x_h = 1 and
-    (T - sigma) x = gamma e_h is the product of the ratios out from h, and
-    sigma + gamma / |x|^2, its Rayleigh quotient, is the next sigma. A row
-    stops, its sigma kept, once its residual |gamma| / |x| is within tol; a
-    row that has not within _STEPS steps is nan.
+    The iteration starts at sigma = shift. A step factors T - sigma twisted
+    at h (Parlett & Dhillon, Linear Algebra Appl. 309, 2000): pivots run in
+    from both ends, the x with x_h = 1 and (T - sigma) x = gamma e_h is the
+    product of the ratios out from h, and sigma + gamma / |x|^2, its
+    Rayleigh quotient, is the next sigma. A row stops, its sigma kept, once
+    its residual |gamma| / |x| is within tol; a row that has not within
+    _STEPS steps is nan.
     """
     n = d.shape[1]
     h = n // 2
@@ -165,10 +167,6 @@ def _inverse_iteration(d, e, shift, tol):
     dd, ee = d.T[fold], e.T[fold - [0, 1]]  # by site, then row; e couples each site inward
     ee2, ratio, centre, tol2, sigma = ee * ee, -ee[::-1], d[:, h], tol * tol, shift
     with np.errstate(all="ignore"):  # a zero pivot or an overflow leaves a row non-finite
-        for _ in range(2):
-            near = ee2[-2] / (sigma - dd[-2] - ee2[-3] / (sigma - dd[-3]))
-            near = ee2[-1] / (sigma - dd[-1] - near)
-            sigma = centre + near[0] + near[1]
         for _ in range(_STEPS):
             p = dd - sigma
             prev = p[0]
@@ -228,11 +226,9 @@ def _window(branch, order, q, h, iterate=True):
         mat[:, :: n + 1] = d[r]
         mat[:, n:: n + 1] = e[r]  # the subdiagonal: eigh reads the lower triangle
         _, v = np.linalg.eigh(mat.reshape(-1, n, n))
-        # sorted position of the q = 0 mode in the window; on the Floquet lattice
-        # strict inequality resolves the odd-integer tie to the lower member
-        pos = ((label - lo)[r] if branch is not None
-               else (d[r] < (order * order)[r, None]).sum(axis=1))
-        vec[r] = v[np.arange(v.shape[0]), :, pos]
+        # sorted position of the q = 0 mode in the window: its lower sites on
+        # the lattice, at most h (on the Floquet lattice the sites -nu < k < 0)
+        vec[r] = v[np.arange(v.shape[0]), :, np.minimum(label, h)[r]]
     vl, dl, el = (a.astype(np.longdouble) for a in (vec, d, e))
     tv = dl * vl
     tv[:, :-1] += el * vl[:, 1:]
@@ -246,10 +242,9 @@ def _window(branch, order, q, h, iterate=True):
     # a window that starts at the bottom of the cosine or sine lattice has the
     # label as its sorted position; others count from the bottom. An eigenvalue
     # lies within the residual bound of value; the margin adds the pivots'
-    # backward error. A sound iterated row is counted whatever its tail: if its
-    # label holds, eigh's vector would miss the tail bound as well.
+    # backward error.
     label_ok = np.ones(q.size, dtype=bool)
-    r = (cut_below & sound & (tail_ok | iterated)).nonzero()[0]
+    r = (cut_below & sound).nonzero()[0]
     if r.size:
         margin = _TRUNC_TOL + 64.0 * np.finfo(float).eps * scale[r]
         below, upto = _sturm_count(branch, order[r], q[r], bottom[r], lo[r] + n - 1,

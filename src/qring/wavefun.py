@@ -8,7 +8,8 @@ radial factor is
 with beta = 2 alpha + 1/2. The combined exponent keeps r = 0 regular for
 every alpha >= 1/4. N, the power and the Gaussian are evaluated as one
 exponential of their summed logs, the polynomial by the 1F1 recurrence of
-hyper, which also serves the node count and the quadrature normalization.
+hyper, which also serves the quadrature normalization. The node count is the
+Sturm count of the same recurrence's ratios, exact at every n_r.
 The angular factor integrates to pi over a period, so normalization fixes N
 through the radial integral alone.
 """
@@ -131,24 +132,21 @@ class ProfileTable:
 
 
 def count_radial_nodes(spec: WaveSpec) -> int:
-    """Sign changes of the polynomial factor in r in (0, inf)."""
-    n = spec.state.n_r
-    if n == 0:
-        return 0
-    # all roots of the degree-n factor sit below rho ~ 4n + 2 beta
-    rho = np.geomspace(1e-9, 4.0 * n + 2.0 * spec.beta + 20.0, 4096)
-    with np.errstate(over="ignore", invalid="ignore"):
-        poly = hyp1f1_poly(n, spec.beta, rho)
-    overflow = ~np.isfinite(poly)
-    if overflow.any():
-        # the recurrence overflows at large n_r; the signs left would miscount
-        raise EvaluationError(
-            f"node-count polynomial overflows at {int(overflow.sum())} of {rho.size} "
-            f"points for {spec.state}", term_trace=[("n_r", n)]
-        )
-    signs = np.sign(poly)
-    keep = signs != 0
-    return int(np.sum(np.abs(np.diff(signs[keep])) > 1))
+    """Zeros of the polynomial factor in r in (0, inf), by a Sturm count.
+
+    M_j = 1F1(-j, beta, rho) are orthogonal polynomials, so the number of
+    negative ratios M_{j+1}/M_j, j < n_r, at rho is the number of zeros of
+    M_{n_r} in (0, rho) (Szego, Orthogonal Polynomials, 1939, ch. 6). At
+    rho = 4 n_r + 2 beta + 20, past the largest zero, that is every node.
+    The ratios run the recurrence of hyp1f1_poly and stay finite at any n_r.
+    """
+    n, b = spec.state.n_r, spec.beta
+    rho = 4.0 * n + 2.0 * b + 20.0
+    ratio, count = 1.0, 0
+    for j in range(n):
+        ratio = (2 * j + b - rho - j / ratio) / (b + j)
+        count += ratio < 0.0
+    return count
 
 
 def radial_profile(spec: WaveSpec, r_grid) -> ProfileTable:

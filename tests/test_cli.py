@@ -204,22 +204,19 @@ def test_wavefunction_overflowing_density_is_numerics_error():
     assert "inf" not in out and "nan" not in out and "Traceback" not in err
 
 
-def test_wavefunction_overflowing_node_count_is_numerics_error():
-    # the node count's 1F1 recurrence overflows near n_r = 400 on its own grid,
-    # out to 4 n_r + 2 beta + 20; the signs left used to give 394 nodes
+def test_wavefunction_node_count_is_exact_at_every_n_r():
+    # the node count is a Sturm count on the 1F1 recurrence's ratios, which
+    # stay finite where the recurrence itself overflows (from n_r near 400)
     def cli(nr):
         proc = _cli_process(["-m", "qring.cli", "wavefunction", "--nr", nr, "--D", "0"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         out, err = proc.communicate()
         return proc.returncode, out, err
 
-    code, out, err = cli("400")
-    assert code == 2 and out == ""
-    assert err.startswith("qring: numerics error: node-count polynomial overflows")
-    assert "Traceback" not in err and "Warning" not in err
-    code, out, err = cli("350")
-    assert code == 0 and err == ""
-    assert {line.split(",")[2] for line in out.splitlines()[1:]} == {"350"}
+    for nr in ("350", "400", "1000"):
+        code, out, err = cli(nr)
+        assert code == 0 and err == ""
+        assert {line.split(",")[2] for line in out.splitlines()[1:]} == {nr}
 
 
 def test_closed_pipe_exits_quietly():

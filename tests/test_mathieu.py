@@ -506,6 +506,49 @@ def test_iterated_floquet_rows_match_eigh_and_their_own_scalar_solves(rows, mate
         assert mathieu.char_values(None, nu, -x)[0][0] == value
 
 
+# The orderings hold within 8 ulp of the larger value: at high m the gap
+# a_2m - b_2m ~ q^(2m) / (4^(2m-1) ((2m-1)!)^2) drops below rounding, and near
+# |q| ~ 7e3 a band is flatter than an ulp, so the two ends round either way.
+_ULPS = 8.0
+
+
+def _at_most(x, y):
+    return np.all(x <= y + _ULPS * np.spacing(np.maximum(np.abs(x), np.abs(y))))
+
+
+# m up to 299; nu = 2m + 1 + off with |off| log-uniform below 1, near the odd
+# integer; |q| log-uniform over [1e-6, 1e4], either sign
+_BAND = st.tuples(st.integers(0, 299),
+                  st.builds(lambda x, sign: sign * 10.0 ** x,
+                            st.floats(-12.0, -0.01), st.sampled_from([1.0, -1.0])),
+                  st.builds(lambda x, sign: sign * 10.0 ** x,
+                            st.floats(-6.0, 4.0), st.sampled_from([1.0, -1.0])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(rows=st.lists(_BAND, min_size=1, max_size=4))
+@example(rows=[(0, -0.5, 0.2), (3, 1e-12, -1e-6), (150, 0.3, 7e3), (299, -1e-3, -1e4)])
+def test_characteristic_values_keep_their_symmetry_and_order(rows):
+    # DLMF 28.2(v) and 28.12(i): for q != 0, b_2m <= a_2m <= b_2m+2, and the
+    # Floquet band nu in (2m, 2m + 2) runs from a_2m to b_2m+2; each value is
+    # even in q, bit for bit. One array call per lattice, q and -q together.
+    m, off, q = (np.array(a) for a in zip(*rows))
+    k = m.size
+
+    def both_signs(branch, order, x):
+        values, errors, _ = mathieu.char_values(branch, np.tile(order, 2), np.concatenate([x, -x]))
+        assert all(err is None for err in errors)
+        assert values[:x.size].tolist() == values[x.size:].tolist()
+        return values[:x.size]
+
+    a = both_signs(Branch.CE, m, q)
+    b = both_signs(Branch.SE, np.concatenate([m + 1, np.maximum(m, 1)]), np.tile(q, 2))
+    band = both_signs(None, 2.0 * m + 1.0 + off, q)
+    above, below = b[:k], b[k:]
+    assert _at_most(below[m > 0], a[m > 0]) and _at_most(a, above)
+    assert _at_most(a, band) and _at_most(band, above)
+
+
 @pytest.mark.parametrize("branch,order,q,bottom,top", [
     (Branch.CE, 5, 3.0, 0, 20), (Branch.SE, 5, -40.0, 0, 20), (None, 7.6, 2.0, -20, 8),
     (None, 3.4, 0.5, -12, 6)])

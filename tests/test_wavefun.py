@@ -20,6 +20,7 @@ from qring import (
     radial_profile,
     renormalized,
 )
+from qring.hyper import hyp1f1_poly
 from qring.wavefun import count_radial_nodes
 
 GAAS = get_material("GaAs")
@@ -63,11 +64,31 @@ def test_density_peaks_at_a_sqrt_2alpha():
 
 
 def test_node_counts():
-    for n_r in range(5):
+    # n_r = 400 and 5000 are past where hyp1f1_poly overflows; the ratios do not
+    for n_r in (*range(5), 400, 5000):
         assert count_radial_nodes(_spec(n_r=n_r)) == n_r
     for m in (0, 10, 40, 100):
         for n_r in range(0, 41, 5):
             assert count_radial_nodes(_spec(n_r=n_r, m=m, D=10.0)) == n_r
+
+
+def _grid_sign_changes(spec):
+    # an independent count: sign changes of the polynomial factor on 4,096
+    # geometric points out past its largest zero, while the recurrence is finite
+    n = spec.state.n_r
+    if n == 0:
+        return 0
+    rho = np.geomspace(1e-9, 4.0 * n + 2.0 * spec.beta + 20.0, 4096)
+    signs = np.sign(hyp1f1_poly(n, spec.beta, rho))
+    signs = signs[signs != 0]
+    return int(np.sum(np.abs(np.diff(signs)) > 1))
+
+
+@pytest.mark.parametrize("m", [0, 3, 250])
+def test_sturm_node_count_matches_the_grid_sign_count(m):
+    for n_r in (*range(12), *range(20, 351, 30)):
+        spec = _spec(n_r=n_r, m=m, D=10.0)
+        assert count_radial_nodes(spec) == _grid_sign_changes(spec) == n_r
 
 
 def test_quadrature_confirms_closed_norm():
