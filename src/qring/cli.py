@@ -26,6 +26,9 @@ from .params import builtin_materials, from_material, get_material, parse_config
 from .spectrum import QuantumState, SweepConfig
 
 
+_MAX_POINTS = 10 ** 6  # largest range or --points grid, refused before anything is built
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; contract says 1
         raise UsageError(message)
@@ -42,7 +45,10 @@ def _floats_from_range(text: str):
     steps = (stop - start) / step if step > 0 else math.nan  # inf when the count overflows
     if not all(map(math.isfinite, (start, stop, step, steps))) or stop < start:
         raise UsageError(f"bad range {text!r}")
-    return [start + k * step for k in range(int(math.floor(steps + 1e-9)) + 1)]
+    count = int(math.floor(steps + 1e-9)) + 1
+    if count > _MAX_POINTS:
+        raise UsageError(f"range {text!r} has {count} points, more than {_MAX_POINTS}")
+    return [start + k * step for k in range(count)]
 
 
 def _int_list(text: str):
@@ -241,6 +247,8 @@ def _cmd_wavefunction(args):
         raise UsageError("wavefunction takes exactly one material and one state")
     if args.points < 0:
         raise UsageError(f"--points must be >= 0, got {args.points}")
+    if args.points > _MAX_POINTS:
+        raise UsageError(f"--points must be at most {_MAX_POINTS}, got {args.points}")
     state = QuantumState(args.nr[0], args.m[0], args.parity[0], args.delta)
     params = from_material(mats[0], args.D, args.delta)
     if not math.isfinite(args.r_max * params.a_length):  # the grid end, in bohr

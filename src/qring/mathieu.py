@@ -8,15 +8,15 @@ Floquet exponent nu couples the shifted lattice exp(i(nu+2k)z), k in Z.
 
 All three are solved by one kernel over arrays of order and q. It cuts a
 window of 2h+1 sites around the site of the wanted mode (clipped at the
-bottom of the cosine and sine lattices) and finds its eigenvector: by
-Rayleigh-quotient iteration over the stack of rows (Parlett, The Symmetric
-Eigenvalue Problem, 1998, ch. 4) where the window is cut off the lattice
-bottom, started from the shift of the 2 x 2 blocks of the centre site and
-its neighbours; else, and for any row the iteration leaves uncertified, by
-stacked numpy eigh, whose sorted position of the wanted mode is min(label, h)
-on every lattice, the label being the number of lattice sites below it at
-q = 0. The value is the vector's long-double Rayleigh quotient. A row is
-accepted when
+bottom of the cosine and sine lattices) and solves stacks of rows of one kind,
+each by one path. Windows cut off the lattice bottom (every Floquet row, and
+cosine and sine rows whose label exceeds h) go to Rayleigh-quotient iteration
+(Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 4), started from the
+shift of the 2 x 2 blocks of the centre site and its neighbours; windows at
+the bottom, and iterated rows left uncertified, go to stacked numpy eigh,
+whose sorted position of the wanted mode is min(label, h) on every lattice,
+the label being the number of lattice sites below it at q = 0. The value is
+the vector's long-double Rayleigh quotient. A row is accepted when
 
 * |q| * tail <= 1e-12, with tail the norm of the components at the window
   ends that truncate the lattice: the zero-padded vector then has that
@@ -40,11 +40,9 @@ refused (the Sturm count runs over every lower site). q = 0 is exact.
 
 Each distinct (order, q) of a call is solved once (at non-integer flux the ce
 and se labels of one m share it), in equal stacks of at most 2**17 entries: a
-1,000-row axis of 11-site windows fits one. A corrections sweep over 3
-materials, 7 states and 1,001 D sends 4,004 cosine rows per material to one
-call; its process peaked at 41.4 MB RSS with 2**18 entries and 38.2 MB with
-2**17, and a 3,507-row flux sweep at 36.5 and 34.5 MB while eigh solved its
-rows, 32.5 MB since they are iterated (x86-64, Python 3.11, numpy 2.4).
+1,000-row axis of 11-site windows fits one. A 21,021-row corrections sweep's
+process peaked at 38.2 MB RSS with it and 41.4 MB with 2**18 (x86-64, Python
+3.11, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -188,13 +186,17 @@ def _inverse_iteration(d, e, shift, tol):
         return vec / np.sqrt(norm2)[:, None]
 
 
-def _window(branch, order, q, h, iterate=True):
-    """Solve one stack of rows on windows of half-width h, by iteration if iterate is set.
+def _window(branch, order, q, h, iterate):
+    """Solve one stack of rows of one kind on windows of half-width h, by one path.
+
+    iterate is set for a stack cut off its lattice's bottom: Rayleigh-quotient
+    iteration solves it, and eigh solves again, in the one recursion, each row
+    off its in-window residual bound or its label count. A stack at the bottom
+    of the cosine or sine lattice goes to eigh alone and needs neither test.
 
     Returns (value, lo, vec, tail_ok, label_ok): the refined value, first
     site and unit eigenvector of each row's window, and the acceptance tests
-    of the module docstring; an iterated row that misses the in-window
-    residual bound or its label is solved again by eigh.
+    of the module docstring.
     """
     n = 2 * h + 1
     if branch is None:
@@ -205,53 +207,44 @@ def _window(branch, order, q, h, iterate=True):
         label = order.astype(int) - (branch is Branch.SE)
         lo = np.maximum(label - h, 0)
         bottom = np.zeros(q.size, dtype=int)
+    cut = branch is None or label[0] > h
     k = lo[:, None] + np.arange(n)
     d = _diagonal(branch, order[:, None], k)
     e = _coupling(branch, q[:, None], k[:, :-1])
     scale = d[:, -1] + 2.0 * np.abs(q)  # bounds the norm of every window
-    # only the cosine and sine lattices end: at their bottom nothing is cut off
-    cut_below = lo > 0 if branch is not None else np.full(q.size, True)
-    iterated = cut_below & iterate
-    vec = np.empty((q.size, n))
-    # the iteration starts from the centre site's diagonal, moved by each neighbour as
-    # their 2 x 2 block moves it: finite where they meet (nu = 1), a tie to the lower one
-    if iterated.any():
-        di, ei = d[iterated], e[iterated]
-        half, c = (di[:, h, None] - di[:, h - 1:h + 2:2]) / 2.0, ei[:, h - 1:h + 1]
+    if iterate:
+        # the iteration starts from the centre site's diagonal, moved by each neighbour as
+        # their 2 x 2 block moves it: finite where they meet (nu = 1), a tie to the lower one
+        half, c = (d[:, h, None] - d[:, h - 1:h + 2:2]) / 2.0, e[:, h - 1:h + 1]
         move = c * c / (half + np.where(half > 0.0, 1.0, -1.0) * np.hypot(half, c))
-        start = di[:, h] + move[:, 0] + move[:, 1]
-        vec[iterated] = _inverse_iteration(di, ei, start, _RESID_TOL * scale[iterated])
-    if (r := ~iterated).any():
-        mat = np.zeros((r.sum(), n * n))
-        mat[:, :: n + 1] = d[r]
-        mat[:, n:: n + 1] = e[r]  # the subdiagonal: eigh reads the lower triangle
+        vec = _inverse_iteration(d, e, d[:, h] + move[:, 0] + move[:, 1], _RESID_TOL * scale)
+    else:
+        mat = np.zeros((q.size, n * n))
+        mat[:, :: n + 1] = d
+        mat[:, n:: n + 1] = e  # the subdiagonal: eigh reads the lower triangle
         _, v = np.linalg.eigh(mat.reshape(-1, n, n))
         # sorted position of the q = 0 mode in the window: its lower sites on
         # the lattice, at most h (on the Floquet lattice the sites -nu < k < 0)
-        vec[r] = v[np.arange(v.shape[0]), :, np.minimum(label, h)[r]]
+        vec = v[np.arange(q.size), :, np.minimum(label, h)]
     vl, dl, el = (a.astype(np.longdouble) for a in (vec, d, e))
     tv = dl * vl
     tv[:, :-1] += el * vl[:, 1:]
     tv[:, 1:] += el * vl[:, :-1]
     value = (vl * tv).sum(axis=1) / (vl * vl).sum(axis=1)
-    tail = np.where(cut_below, np.hypot(vec[:, 0], vec[:, -1]), np.abs(vec[:, -1]))
+    tail = np.hypot(vec[:, 0], vec[:, -1]) if cut else np.abs(vec[:, -1])
     tail_ok = (np.abs(q) * tail <= _TRUNC_TOL) & (tail <= _TAIL_TOL * np.abs(vec).max(axis=1))
-    res = tv - value[:, None] * vl  # in the window
-    sound = ~iterated | ((res * res).sum(axis=1) <= (_RESID_TOL * scale) ** 2)
-    value = value.astype(float)
-    # a window that starts at the bottom of the cosine or sine lattice has the
-    # label as its sorted position; others count from the bottom. An eigenvalue
-    # lies within the residual bound of value; the margin adds the pivots'
-    # backward error.
-    label_ok = np.ones(q.size, dtype=bool)
-    r = (cut_below & sound).nonzero()[0]
-    if r.size:
-        margin = _TRUNC_TOL + 64.0 * np.finfo(float).eps * scale[r]
-        below, upto = _sturm_count(branch, order[r], q[r], bottom[r], lo[r] + n - 1,
-                                   value[r] + np.array([[-1.0], [1.0]]) * margin)
-        label_ok[r] = (below <= label[r]) & (label[r] < upto)
-    r = (iterated & ~(sound & label_ok)).nonzero()[0]
-    if r.size:
+    if iterate:
+        res = tv - value[:, None] * vl  # in the window
+        sound = (res * res).sum(axis=1) <= (_RESID_TOL * scale) ** 2
+    value, label_ok = value.astype(float), np.ones(q.size, dtype=bool)
+    if cut:  # a window at the bottom needs no count: the label is its sorted position
+        # an eigenvalue lies within the residual bound of value; the margin adds
+        # the pivots' backward error
+        margin = _TRUNC_TOL + 64.0 * np.finfo(float).eps * scale
+        below, upto = _sturm_count(branch, order, q, bottom, lo + n - 1,
+                                   value + np.array([[-1.0], [1.0]]) * margin)
+        label_ok = (below <= label) & (label < upto)
+    if iterate and (r := (~(sound & label_ok)).nonzero()[0]).size:
         value[r], _, vec[r], tail_ok[r], label_ok[r] = _window(branch, order[r], q[r], h, False)
     return value, lo, vec, tail_ok, label_ok
 
@@ -284,8 +277,10 @@ def char_values(branch: Optional[Branch], order, q, _windows=False):
     errors[i] is set, on the Floquet lattice (branch None) at q = 0, whose
     window no caller reads, and everywhere without _windows.
 
-    Rows at q != 0 are solved as the module docstring describes; rows that
-    repeat an (order, q) get the value, error and window of its one solve.
+    Rows at q != 0 are solved as the module docstring describes: each round
+    splits them into stacks of one kind, cut off the lattice bottom or at it,
+    and solves each stack by one path. Rows that repeat an (order, q) get the
+    value, error and window of its one solve.
     """
     order, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(np.asarray(q, dtype=float)))
     half = order / 2.0 if branch is None else order
@@ -338,16 +333,19 @@ def char_values(branch: Optional[Branch], order, q, _windows=False):
             break
         failed = []
         step = max(1, _STACK_ENTRIES // (2 * h + 1) ** 2)
-        step = -(-todo.size // -(-todo.size // step))  # as few stacks as fit, of even size
-        for start in range(0, todo.size, step):
-            rows = todo[start:start + step]
-            value, lo, vec, tail_ok, label_ok = _window(branch, order[rows], q[rows], h)
-            previous[rows] = values[rows]
-            values[rows] = value
-            ok = tail_ok & label_ok
-            failed.append(rows[~ok])
-            for j in ok.nonzero()[0] if _windows else ():
-                windows[rows[j]] = (int(lo[j]), vec[j])
+        # each stack holds one kind of row: windows cut off their lattice's bottom, or at it
+        cut = (branch is None) | (order[todo] > h + (branch is Branch.SE))
+        for iterate, part in ((True, todo[cut]), (False, todo[~cut])):
+            size = -(-part.size // -(-part.size // step)) if part.size else 1
+            for rows in (part[i:i + size] for i in range(0, part.size, size)):  # few, even stacks
+                value, lo, vec, tail_ok, label_ok = _window(
+                    branch, order[rows], q[rows], h, iterate)
+                previous[rows] = values[rows]
+                values[rows] = value
+                ok = tail_ok & label_ok
+                failed.append(rows[~ok])
+                for j in ok.nonzero()[0] if _windows else ():
+                    windows[rows[j]] = (int(lo[j]), vec[j])
         todo = np.concatenate(failed)
         h *= 2
     values[dst], errors[dst], windows[dst] = values[src], errors[src], windows[src]

@@ -54,13 +54,12 @@ def _closed_form_norm(n_r: int, alpha: float, a: float) -> float:
 
 def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
     """Build a normalized WaveSpec (closed-form N; see normalize_numeric)."""
-    q = 4.0 * params.mu * params.D_theta
-    if state.delta == params.delta == 0.0:  # one eigenpair gives value and coefficients
-        coeffs = mathieu.fourier_coeffs(state.m, state.parity, q)
+    zero_flux = state.delta == params.delta == 0.0
+    # at non-zero flux the angular value comes first, so that a bad input raises its own error
+    e_theta = None if zero_flux else spectrum.angular_eigenvalue(state, params)[0]
+    coeffs = mathieu.fourier_coeffs(state.m, state.parity, 4.0 * params.mu * params.D_theta)
+    if zero_flux:  # one eigenpair gives value and coefficients
         e_theta = -coeffs.value / 4.0
-    else:
-        e_theta = spectrum.angular_eigenvalue(state, params)[0]
-        coeffs = mathieu.fourier_coeffs(state.m, state.parity, q)
     _, alpha = spectrum.radial_exponent(e_theta, params)
     a = params.a_length
     N = _closed_form_norm(state.n_r, alpha, a)
@@ -69,14 +68,7 @@ def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
         raise EvaluationError(
             f"normalization constant {N} underflows for {state}", term_trace=[("N", N)]
         )
-    return WaveSpec(
-        state=state,
-        params=params,
-        a=a,
-        alpha=alpha,
-        N=N,
-        coeffs=coeffs,
-    )
+    return WaveSpec(state=state, params=params, a=a, alpha=alpha, N=N, coeffs=coeffs)
 
 
 def _radial_factor(spec: WaveSpec, r):

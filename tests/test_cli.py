@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -267,11 +268,16 @@ def test_usage_errors_exit_1():
                  ["ab-sweep", "--m", "0", "--parity", "se"],
                  ["corrections", "--D-range", "0:inf:1"],
                  ["corrections", "--D-range", "0:1e300:1e-300"],  # the count overflows
+                 ["corrections", "--D-range", "0:1e-300:1e-310"],  # 1e10 points
                  ["wavefunction", "--points", "-1"],
+                 ["wavefunction", "--points", "1000000000000"],
+                 ["wavefunction", "--m", "0,1"],  # one state only
                  ["nonsense"],
                  []):
+        start = time.perf_counter()
         code, _, err = _run(argv)
-        assert code == 1, argv
+        # a grid above the limit is refused before any of it is built
+        assert code == 1 and time.perf_counter() - start < 1.0, argv
         assert err
 
 
@@ -298,6 +304,10 @@ def test_domain_errors_exit_3():
     assert code == 3 and out == "" and "overflows a double" in err
     code, out, err = _run(["energies", "--delta=-1e308"])
     assert code == 0 and out.splitlines()[1].endswith(",,,,,,") and "out of range" in err
+    # past 2**53 both orders round to one float, and so do their energies
+    code, out, err = _run(["transitions", "--m-hi", "9007199254740993",
+                           "--m-lo", "9007199254740992", "--D-range", "0:0:1"])
+    assert code == 3 and out == "" and "degenerate reference transition" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -86,10 +86,13 @@ def test_hyp1f1_rejects_polynomial_breakdown():
     (hyp3f2_unit, (math.nan, 1.0, 1.0, 1.0, 1.0)), (hyp3f2_unit, (-math.inf, 1.0, 1.0, 1.0, 1.0)),
     (laguerre, (2, math.nan, 1.0)), (laguerre, (2, math.inf, 1.0)),
     (hyp1f1_poly, (2, math.nan, 1.0)), (hyp1f1_poly, (2, math.inf, 1.0)),
-    (hyp1f1_poly, (2, -math.inf, 1.0))], ids=lambda v: getattr(v, "__name__", repr(v)))
+    (hyp1f1_poly, (2, -math.inf, 1.0)),
+    (normalization_constant, (1, 0.0, 1.0)), (normalization_constant, (1, 0.5, -1.0))],
+    ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_non_finite_parameters_are_parameter_errors(function, args):
     # nan passed every check and came back as nan; -inf and a nan first 3F2
-    # parameter raised a raw OverflowError or ValueError from int() or round()
+    # parameter raised a raw OverflowError or ValueError from int() or round().
+    # normalization_constant also refuses alpha <= 0 and a <= 0.
     with pytest.raises(ParameterError):
         function(*args)
 

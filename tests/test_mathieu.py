@@ -110,6 +110,42 @@ def test_fractional_limits_to_integer_orders():
         assert b < from_below < from_above < a or b < a
 
 
+# an order on each side of the first window's half-width 5, so that one call
+# reaches both the bottom and the cut stacks of the cosine and sine lattices;
+# log10 of the distance eps of nu from 2m; |q| log-uniform over [1e-6, 1e4]
+_EDGE = st.tuples(st.integers(0, 5), st.integers(6, 299), st.floats(-12.0, -4.0),
+                  st.builds(lambda x, sign: sign * 10.0 ** x,
+                            st.floats(-6.0, 4.0), st.sampled_from([1.0, -1.0])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(rows=st.lists(_EDGE, min_size=1, max_size=3))
+@example(rows=[(0, 299, -12.0, -1e4), (5, 6, -4.0, 0.8), (1, 150, -9.0, 7e3)])
+def test_fractional_orders_tend_to_the_integer_values(rows):
+    # DLMF 28.12(i): lambda_nu -> a_2m as nu decreases to 2m, and -> b_2m as
+    # it increases to 2m. By Hellmann-Feynman d lambda/d nu = sum_k 2 (nu+2k) v_k^2
+    # for the unit eigenvector v, which Cauchy-Schwarz bounds by 2 sqrt(<v, D v>)
+    # <= 2 sqrt(lambda + 2|q|): the couplings of the lattice have norm at most
+    # 2|q|. The band is monotone in nu, so |lambda_(2m +- eps) - lambda_2m| is at
+    # most 2 eps sqrt(max(lambda_(2m +- eps), lambda_2m) + 2|q|); 4 ulp more
+    # cover the rounding of the two values. One array call per lattice.
+    low, high, x, q = zip(*rows)
+    m, q, eps = np.array(low + high), np.tile(q, 2), np.tile(10.0 ** np.array(x), 2)
+    se = m > 0  # there is no b_0, and nu must stay positive
+    up, down = 2.0 * m + eps, 2.0 * m[se] - eps[se]
+    values = []
+    for branch, order, x in ((Branch.CE, m, q), (Branch.SE, m[se], q[se]),
+                             (None, np.concatenate([up, down]), np.concatenate([q, q[se]]))):
+        value, errors, _ = mathieu.char_values(branch, order, x)
+        assert all(err is None for err in errors)
+        values.append(value)
+    a, b, band = values
+    for edge, nu, near, x in ((a, up, band[:m.size], q), (b, down, band[m.size:], q[se])):
+        gap = np.abs(nu - np.rint(nu))  # eps as nu holds it, exactly
+        slope = 2.0 * np.sqrt(np.maximum(edge, near) + 2.0 * np.abs(x))
+        assert np.all(np.abs(near - edge) <= gap * slope + 4.0 * np.spacing(np.abs(edge)))
+
+
 def test_fractional_reduces_to_nu_squared_at_q_zero():
     for nu in (0.5, 1.0, 2.5, 3.0, 6.2):
         assert char_value_fractional(nu, 0.0).value == pytest.approx(

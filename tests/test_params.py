@@ -72,6 +72,14 @@ def test_params_validation():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             MaterialSpec("X", m_star=0.067, eps_r=12.65, hbar_omega0=bad)
+    for field, bad in (("m_star", 0.0), ("eps_r", -1.0), ("lam", -0.5)):
+        kw = dict(m_star=0.067, eps_r=12.65)
+        kw[field] = bad
+        with pytest.raises(ParameterError, match=field.replace("lam", "lambda")):
+            MaterialSpec("X", **kw)
+    for D_e, r_e in ((0.0, 3.0), (0.4, -1.0)):
+        with pytest.raises(ParameterError):
+            PhoParams(D_e=D_e, r_e=r_e)
 
 
 def test_pho_mapping_is_tan_inkson():

@@ -72,6 +72,52 @@ def test_radial_ladder_spacing():
         assert hi.E - lo.E == pytest.approx(step, rel=1e-13)
 
 
+# a state on each side of the first window's half-width 5, so that one call
+# reaches both the bottom and the cut stacks of the cosine and sine lattices;
+# n_r, and a flux that is an integer (integer order) or not (Floquet lattice)
+_STATE_PAIR = st.tuples(st.integers(0, 5), st.integers(6, 40), st.sampled_from(list(Branch)),
+                        st.integers(0, 20),
+                        st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 2.0)))
+
+
+def _state_pair_energies(name, pairs, D, shift):
+    """E of the two states shift(n_r, m, parity, delta) at each order of each pair,
+    from one chain call, shaped (pair and order, state, D)."""
+    states = [QuantumState(*label) for low, high, parity, n_r, delta in pairs
+              for m in (max(low, parity is Branch.SE), high)
+              for label in shift(n_r, m, parity, delta)]
+    cols, errors = spectrum._energies(states, get_material(name), D)
+    assert all(err is None for err in errors)
+    return cols["E"].reshape(-1, 2, len(D))
+
+
+_MATERIALS = st.sampled_from(["GaAs", "GaAlAs_x0.3", "CdSe"])
+_DIPOLES = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(name=_MATERIALS, pairs=st.lists(_STATE_PAIR, min_size=1, max_size=3), D=_DIPOLES)
+def test_radial_ladder_spacing_on_every_material_state_and_dipole(name, pairs, D):
+    # E = w (2 n_r + 1 + lambda_eff) + C with w = sqrt(2A/mu), so each step of
+    # n_r adds 2w exactly; the two roundings of each E (the sum, then the
+    # product) keep the computed step within 4 ulp of E
+    E = _state_pair_energies(name, pairs, D, lambda n_r, m, parity, delta: [
+        (n_r, m, parity, delta), (n_r + 1, m, parity, delta)])
+    params = from_material(get_material(name), 0.0)
+    step = 2.0 * math.sqrt(2.0 * params.A / params.mu)
+    assert np.all(np.abs(E[:, 1] - E[:, 0] - step) <= 4.0 * np.spacing(E[:, 1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(name=_MATERIALS, pairs=st.lists(_STATE_PAIR, min_size=1, max_size=3), D=_DIPOLES)
+def test_a_unit_of_flux_shifts_the_order_by_one(name, pairs, D):
+    # (m, delta + 1) and (m + 1, delta) have the same order nu = 2 (m + delta + 1),
+    # and so the same energy, up to the rounding of m + delta + 1 either way
+    E = _state_pair_energies(name, pairs, D, lambda n_r, m, parity, delta: [
+        (n_r, m, parity, delta + 1.0), (n_r, m + 1, parity, delta)])
+    assert np.all(np.abs(E[:, 1] - E[:, 0]) <= 4.0 * np.spacing(E[:, 0]))
+
+
 def test_reference_point_ground_m1():
     row = qr_energy(QuantumState(0, 1, Branch.CE), GAAS, 0.0)
     assert row.e_hw0 == pytest.approx(1.0 + math.sqrt(5.0), abs=1e-12)
