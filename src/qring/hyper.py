@@ -137,12 +137,13 @@ def gauss_laguerre(f, n: int, alpha: float) -> float:
     keep their relative accuracy. f takes the node array. IntegrationError
     when the (n+1)-point rule disagrees.
     """
+    k = np.arange(n + 1, dtype=float)
+    diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))  # off[0] = 0
+    jacobi = np.diag(diag)  # symmetric tridiagonal; the n-point rule's is its leading block
+    jacobi.flat[n + 1::n + 2] = off[1:]  # the subdiagonal, all that eigvalsh reads of it
     values = []
     for size in (n, n + 1):
-        k = np.arange(size, dtype=float)
-        diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))  # off[0] = 0
-        # symmetric tridiagonal; eigvalsh reads the lower triangle only
-        nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], -1))
+        nodes = np.linalg.eigvalsh(jacobi[:size, :size])
         prev, cur, total = 0.0, 1.0, 1.0
         for j in range(size - 1):
             prev, cur = cur, ((nodes - diag[j]) * cur - off[j] * prev) / off[j + 1]

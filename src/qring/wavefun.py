@@ -98,15 +98,17 @@ def normalize_numeric(spec: WaveSpec) -> float:
 
     Authoritative over any closed-form N on disagreement. Radial part by the
     exact Gauss-Laguerre rule for 1F1(-n, beta, rho)^2 against the weight
-    rho^(beta-1) e^-rho / Gamma(beta); angular part by the rectangle rule
-    (exact for the trigonometric integrand).
+    rho^(beta-1) e^-rho / Gamma(beta); angular part by the M-point rectangle
+    rule, exact for e^(ij theta), |j| < M (the M-th roots of unity sum to 0).
+    Theta's top frequency t is K - 1 (CE) or K (SE), K = coeffs.truncation, so
+    |Theta|^2 has |j| <= 2t: M = 2t + 1 is exact, and one point fewer aliases.
     """
-    beta = spec.beta
-    n = spec.state.n_r
+    n, beta = spec.state.n_r, spec.beta
     radial = gauss_laguerre(lambda rho: hyp1f1_poly(n, beta, rho) ** 2, n + 1, beta - 1.0)
-    th = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-    tvals = mathieu.eval_angular(th, spec.coeffs, spec.params.delta)
-    angular = float(np.sum(np.abs(tvals) ** 2) * (th[1] - th[0]))
+    points = 2 * (spec.coeffs.truncation - (spec.coeffs.branch is mathieu.Branch.CE)) + 1
+    step = 2.0 * math.pi / points
+    tvals = mathieu.eval_angular(step * np.arange(points), spec.coeffs, spec.params.delta)
+    angular = float(np.sum(np.abs(tvals) ** 2) * step)
     return math.sqrt(2.0 / (angular * spec.a * radial)) * math.exp(-0.5 * math.lgamma(beta))
 
 

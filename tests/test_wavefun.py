@@ -1,13 +1,17 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qring import (
     Branch,
     ParameterError,
     PhoParams,
+    QringError,
     QuantumState,
     angular_eigenvalue,
     from_material,
@@ -20,7 +24,9 @@ from qring import (
     radial_profile,
     renormalized,
 )
+from qring import mathieu
 from qring.hyper import hyp1f1_poly
+from qring.mathieu import FourierCoeffs, eval_angular, fourier_coeffs
 from qring.wavefun import count_radial_nodes
 
 GAAS = get_material("GaAs")
@@ -116,6 +122,96 @@ def test_large_m_closed_norm_and_nodes():
             spec = _spec(n_r=n_r, m=m, D=10.0)
             assert spec.N == pytest.approx(normalize_numeric(spec), rel=1e-9)
             assert count_radial_nodes(spec) == n_r
+
+
+@pytest.mark.parametrize("m,parity", [(1024, Branch.CE), (1024, Branch.SE), (2048, Branch.CE),
+                                      (2048, Branch.SE)])
+def test_angular_rule_does_not_alias_at_high_order(m, parity):
+    """A high-order angular factor leaves the quadrature norm of a state unchanged.
+
+    The radial part is the same and the angular integral is pi in both. A
+    fixed 2,048-point rule aliases the dominant frequency 2m of |Theta|^2 at
+    these orders (q = 0.2): onto the mean for CE, which reads the norm 1/sqrt(2)
+    too small, and onto the zeros of sin^2(m theta) for SE, which reads it
+    about 2e4 (m = 1024) and 4e4 (m = 2048) times too large. The grid sized
+    to the coefficients is exact; what is left is the rounding of its nodes
+    (1.2e-14 at most here).
+    """
+    spec = _spec(m=1, parity=parity)
+    high = replace(spec, coeffs=fourier_coeffs(m, parity, 0.2))
+    assert normalize_numeric(high) == pytest.approx(normalize_numeric(spec), rel=5e-14)
+
+
+def _sized_grid_integral(spec):
+    """normalize_numeric's angular grid size and rectangle sum of |Theta|^2 on it.
+
+    Read through a spy on the one eval_angular call it makes.
+    """
+    seen = []
+
+    def spy(theta, coeffs, delta=0.0):
+        seen.append((theta, eval_angular(theta, coeffs, delta)))
+        return seen[-1][1]
+
+    with mock.patch.object(mathieu, "eval_angular", spy):
+        normalize_numeric(spec)
+    (theta, values), = seen
+    assert np.allclose(theta, np.arange(theta.size) * (2.0 * math.pi / theta.size),
+                       rtol=1e-15, atol=0.0)  # equispaced over one period
+    return theta.size, _rectangle(values)
+
+
+def _rectangle(values):
+    return float(np.sum(np.abs(values) ** 2) * (2.0 * math.pi / values.size))
+
+
+# Both rules are exact. What is left is the rounding of the nodes (each up to
+# 4 pi u off), which the slope of |Theta|^2, about 2m, carries into the sum:
+# 6.0e-14 at most over 150 seeded draws with m <= 3,000, growing about as sqrt(m).
+ANGULAR_RTOL = 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(parity=st.sampled_from(Branch), m=st.integers(0, 3000),
+       q=st.floats(0.0, 50.0), delta=st.sampled_from([0.0, 0.3]), n_r=st.integers(0, 3))
+def test_sized_angular_rule_is_exact(parity, m, q, delta, n_r):
+    """The angular integral is pi on the sized grid, and on one twice as fine.
+
+    Both grids are exact, so they agree to their rounding, not to a
+    discretisation error. Where make_wave succeeds, the quadrature norm
+    confirms the closed form.
+    """
+    m = max(m, parity is Branch.SE)
+    coeffs = fourier_coeffs(m, parity, q)
+    spec = replace(_spec(delta=delta), coeffs=coeffs)
+    points, integral = _sized_grid_integral(spec)
+    assert points == 2 * (coeffs.truncation - (parity is Branch.CE)) + 1
+    assert integral == pytest.approx(math.pi, rel=ANGULAR_RTOL)
+    fine = eval_angular(np.arange(2 * points) * (math.pi / points), coeffs, delta)
+    assert integral == pytest.approx(_rectangle(fine), rel=ANGULAR_RTOL)
+    try:
+        wave = _spec(n_r=n_r, m=m, parity=parity, D=q * GAAS.eps_r / (4.0 * GAAS.m_star),
+                     delta=delta)
+    except QringError:  # N underflows past m ~ 300, or the dipole collapses the state
+        return
+    assert normalize_numeric(wave) == pytest.approx(wave.N, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(parity=st.sampled_from(Branch),
+       body=st.lists(st.floats(-1.0, 1.0), max_size=40), top=st.floats(0.5, 1.0))
+def test_sized_angular_rule_is_exact_for_any_trig_polynomial(parity, body, top):
+    """As above for arbitrary coefficients, whose top one is not negligible.
+
+    A Mathieu vector's outermost coefficient is <= 1e-14 of its largest, so a
+    rule one point too small aliases only its square, below the rounding; here
+    the top frequency carries weight, and any fewer points fail.
+    """
+    c = np.array([*body, top])
+    norm = np.sum(c ** 2) + (c[0] ** 2 if parity is Branch.CE else 0.0)
+    coeffs = FourierCoeffs(parity, 0, 0.0, c / math.sqrt(norm), c.size, 0.0)
+    _, integral = _sized_grid_integral(replace(_spec(), coeffs=coeffs))
+    assert integral == pytest.approx(math.pi, rel=ANGULAR_RTOL)
 
 
 def test_renormalized_reproduces_closed_norm():

@@ -19,13 +19,18 @@ one line per row of ``mathieu.char_values``: the value and error text and,
 after a tab, the window (first site and a hash of the unit vector's bits).
 The rows are the distinct Floquet rows (nu, q) of the flux argvs, a seeded
 draw of rows at the bottom and cut off it on all three lattices, with |q| up
-to 1e4, and three rows out of the domain.
+to 1e4, and three rows out of the domain. After them come the wavefunction
+rows: for each state of the wavefunctions workload (seeds 1-3) and of the
+wavefunction argvs below, the closed-form N, ``normalize_numeric`` and the
+radial node count, or the error text.
 
 Every difference in exit code, stdout or stderr is reported per argv, and
-every row whose value or error text differs is printed; rows that differ
-only in their window's bits are counted. Exits 0 when nothing differs, 1
-otherwise. The argvs come from this checkout's ``perfbench/workloads.py``,
-which is only read.
+every kernel row whose value or error text differs is printed; rows that
+differ only in their window's bits are counted. Every wavefunction row that
+moved is printed with the distance of each number in units in the last place.
+Exits 0 when nothing differs, 1 otherwise. The argvs and the wavefunction
+states come from this checkout's ``perfbench/workloads.py``, which is only
+read.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ import hashlib
 import io
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tarfile
@@ -44,6 +50,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads as wl  # noqa: E402
 
 SEEDS = range(1, 11)
+WAVE_SEEDS = range(1, 4)
 TIMEOUT_S = 600.0
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SUITES = ("angular", "radial", "series", "normalization", "all")
@@ -100,8 +107,9 @@ def library():
     import inspect
 
     import numpy as np
-    from qring import mathieu
-    from qring.cli import _build_parser
+    from qring import QuantumState, from_material, get_material, mathieu, wavefun
+    from qring.cli import _build_parser, _materials_of
+    from qring.errors import QringError
     from qring.mathieu import Branch
 
     # revisions before the windows became optional always return them
@@ -132,6 +140,50 @@ def library():
     nu = np.where(low, rng.uniform(0.0, 12.0, n), 2.0 * m + 1.0 + rng.uniform(-0.05, 0.05, n))
     show("floquet", None, nu[nu % 2.0 != 0.0], q[nu % 2.0 != 0.0])
     show("refused", Branch.CE, np.array([3, 70000, 4]), np.array([2e4, 0.1, np.nan]))
+
+    def wave(label, state, params):
+        try:
+            spec = wavefun.make_wave(state, params)
+            nodes = wavefun.count_radial_nodes(spec)
+            out = f"{spec.N!r} {wavefun.normalize_numeric(spec)!r} {nodes}"
+        except QringError as e:
+            out = f"{type(e).__name__}: {e}"
+        print(f"wave {label}\t{out}")
+
+    for seed in WAVE_SEEDS:  # as the workload builds them
+        for mat, d, nr, m, parity in wl.wave_inputs(seed):
+            wave(f"{mat} {d!r} {nr} {m} {parity}", QuantumState(nr, m, Branch(parity)),
+                 from_material(get_material(mat), d, 0.0))
+    for argv in EXTRA:  # as the wavefunction subcommand builds them
+        if argv[0] == "wavefunction":
+            args = _build_parser().parse_args(list(argv))
+            wave(" ".join(argv), QuantumState(args.nr[0], args.m[0], args.parity[0], args.delta),
+                 from_material(_materials_of(args)[0], args.D, args.delta))
+
+
+def ulps(x, y):
+    """Doubles from x to y, both finite and of one sign, as repr text."""
+    i, j = (struct.unpack("<q", struct.pack("<d", float(v)))[0] for v in (x, y))
+    return abs(i - j)
+
+
+def wave_report(rows_a, rows_b):
+    """Print each wavefunction row that moved; return the number that did."""
+    moved = 0
+    for x, y in zip(rows_a, rows_b):
+        if x == y:
+            continue
+        moved += 1
+        label, a = x[len("wave "):].split("\t")
+        b = y.split("\t")[1]
+        fields = [(name, u, v) for name, u, v in zip(("N", "N_quad", "nodes"), a.split(), b.split())
+                  if u != v]
+        if len(a.split()) == len(b.split()) == 3 and all(n != "nodes" for n, _, _ in fields):
+            detail = ", ".join(f"{n} {u} -> {v} ({ulps(u, v)} ulp)" for n, u, v in fields)
+        else:  # an error text or a node count
+            detail = f"{a} -> {b}"
+        print(f"WAVE {label}: {detail}")
+    return moved
 
 
 def first_difference(a, b):
@@ -175,7 +227,10 @@ def main():
             print(f"library script failed: exit {a[0]} / {b[0]}")
             print(a[2].decode(errors="replace"), b[2].decode(errors="replace"))
             return 1
-        lines = [out.decode().splitlines() for _, out, _ in (a, b)]
+        lines, waves = ([], []), ([], [])
+        for out, kernel, wave in zip((a[1], b[1]), lines, waves):
+            for line in out.decode().splitlines():
+                (wave if line.startswith("wave ") else kernel).append(line)
         pairs = [(x, y) for x, y in zip(*lines) if x != y]
         moved = [(x, y) for x, y in pairs if x.rpartition("\t")[0] != y.rpartition("\t")[0]]
         for x, y in moved:  # a value or an error text
@@ -184,7 +239,11 @@ def main():
               f"{len(moved)} differ in value or error, {len(pairs) - len(moved)} only in "
               f"their window's bits" + ("" if len(lines[0]) == len(lines[1])
                                         else f"; {len(lines[1])} rows in B"))
-        return int(bool(differ or pairs or len(lines[0]) != len(lines[1])))
+        wave_moved = wave_report(*waves)
+        print(f"{len(waves[0]) - wave_moved} of {len(waves[0])} wavefunction rows identical"
+              + ("" if len(waves[0]) == len(waves[1]) else f"; {len(waves[1])} rows in B"))
+        return int(bool(differ or pairs or wave_moved or len(lines[0]) != len(lines[1])
+                        or len(waves[0]) != len(waves[1])))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
