@@ -135,20 +135,23 @@ def gauss_laguerre(f, n: int, alpha: float) -> float:
     matrix. Weights: Christoffel numbers 1 / sum_{k<n} p_k(x)^2, orthonormal p_k
     by the recurrence on the same entries (Gautschi 2004), so even the outermost
     keep their relative accuracy. f takes the node array. IntegrationError
-    when the (n+1)-point rule disagrees.
+    when the (n+1)-point rule disagrees, or a sum or f overflows at a node.
     """
     k = np.arange(n + 1, dtype=float)
     diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))  # off[0] = 0
     jacobi = np.diag(diag)  # symmetric tridiagonal; the n-point rule's is its leading block
     jacobi.flat[n + 1::n + 2] = off[1:]  # the subdiagonal, all that eigvalsh reads of it
-    values = []
-    for size in (n, n + 1):
-        nodes = np.linalg.eigvalsh(jacobi[:size, :size])
-        prev, cur, total = 0.0, 1.0, 1.0
-        for j in range(size - 1):
-            prev, cur = cur, ((nodes - diag[j]) * cur - off[j] * prev) / off[j + 1]
-            total = total + cur * cur
-        values.append(float(np.sum(f(nodes) / total)))
+    values, d, e = [], diag.tolist(), off.tolist()  # floats index faster than numpy scalars
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised by name below
+        for size in (n, n + 1):
+            nodes = np.linalg.eigvalsh(jacobi[:size, :size])
+            prev, cur, total = 0.0, 1.0, np.ones(size)
+            for j in range(size - 1):
+                prev, cur = cur, ((nodes - d[j]) * cur - e[j] * prev) / e[j + 1]
+                total += cur * cur
+            values.append(float((f(nodes) / total).sum()))
+            if not math.isfinite(values[-1] + total.sum()):  # an infinite sum drops its node
+                raise IntegrationError(f"Gauss-Laguerre {size}-point rule overflows a double")
     low, value = values
     if not abs(value - low) <= 1e-10 * max(1.0, abs(value)):
         raise IntegrationError(f"Gauss-Laguerre {n}/{n + 1}-point gap: {low} vs {value}")

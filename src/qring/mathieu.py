@@ -266,7 +266,7 @@ def _raise_first(errors):
 def char_values(branch: Optional[Branch], order, q, _windows=False):
     """Characteristic values over arrays of order and q, broadcast together.
 
-    branch CE/SE takes integer orders m >= 0 (m >= 1 for SE), whose value
+    branch CE/SE takes only integer orders m >= 0 (m >= 1 for SE), whose value
     continues (2m)^2 from q = 0; branch None takes fractional orders nu and
     continues nu^2 along the Floquet lattice. Returns (values, errors,
     windows), three arrays over the rows; errors and windows are object
@@ -305,6 +305,10 @@ def char_values(branch: Optional[Branch], order, q, _windows=False):
          lambda i: f"order {half[i].item()} (m, or nu/2 at fractional order): its "
                    f"characteristic value overflows a double"),
     ]
+    if branch is not None:  # ce holds the orders 2m with integer m >= 0, se those with m >= 1
+        with np.errstate(invalid="ignore"):  # -inf % 1 is nan; -inf is out of range anyway
+            off = (order < (branch is Branch.SE)) | (order % 1 != 0)
+        rules.append((off, lambda i: f"order {order[i].item()} out of range for {branch.value}"))
     for mask, message in rules:
         _fail(errors, mask, lambda i: ParameterError(message(i)))
     live = np.equal(errors, None)
@@ -352,16 +356,9 @@ def char_values(branch: Optional[Branch], order, q, _windows=False):
     return values, errors, windows
 
 
-def _check_m(m, branch: Branch) -> int:
-    m = _count("m", m)
-    if branch is Branch.SE and m == 0:
-        raise ParameterError("SE requires m >= 1 (no sine-elliptic order-0 state)")
-    return m
-
-
 def char_value(m: int, branch: Branch, q: float) -> MathieuChar:
     """Characteristic value of integer even order 2m (a-type for CE, b-type for SE)."""
-    m = _check_m(m, branch)
+    m = _count("m", m)
     values, errors, _ = char_values(branch, m, q)
     _raise_first(errors)
     return MathieuChar(2.0 * m, q, branch, float(values[0]))
@@ -441,7 +438,7 @@ def fourier_coeffs(m: int, branch: Branch, q: float) -> FourierCoeffs:
     outermost components are <= 1e-14 of the largest, and the coefficients
     below the window are zero.
     """
-    m = _check_m(m, branch)
+    m = _count("m", m)
     values, errors, windows = char_values(branch, m, q, _windows=True)
     _raise_first(errors)
     lo, vec = windows[0]

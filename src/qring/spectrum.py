@@ -92,14 +92,12 @@ def _angular(m, se, q, delta, errors):
 
     Rows whose errors entry is set are skipped; rows that fail here get one.
     """
-    with np.errstate(over="ignore"):  # such a row fails the order cap below
+    with np.errstate(over="ignore"):  # such a row fails a domain rule of the kernel
         nu = 2.0 * (m + delta)
     # route on nu, not delta: float summation can land m + delta on an exact
     # integer even when delta alone is a hair off one
     m_eff = np.rint(nu / 2.0)
     integer = nu == 2.0 * m_eff
-    _fail(errors, integer & (m_eff < se), lambda i: ParameterError(  # se starts at order 1
-        f"shifted order {m_eff[i]:.0f} out of range for {'se' if se[i] else 'ce'}"))
     c = np.full(nu.shape, np.nan)
     live = np.equal(errors, None)
     for rows, branch, order in ((integer & live & ~se, Branch.CE, m_eff),

@@ -130,6 +130,12 @@ def test_gauss_laguerre_rejects_underresolved_integrand():
         gauss_laguerre(lambda x: x ** 6, 2, 0.5)
 
 
+def test_gauss_laguerre_names_an_overflowing_integrand():
+    # exp(800 x) overflows at the outer node: no numpy warning, and no silent inf or nan
+    with pytest.raises(IntegrationError, match="overflows a double"):
+        gauss_laguerre(lambda x: np.exp(800.0 * x), 2, 0.5)
+
+
 def test_overlap_quad_gamma_identities():
     # weight q^{k+1/2}: half a power off the natural Laguerre weight, so no
     # orthogonality; small cases reduce to Gamma functions by hand

@@ -408,6 +408,12 @@ def test_one_stacked_eigensolve_per_batch(solves):
     assert [char_value(3, Branch.CE, x).value for x in q[::100]] == list(values[::100])
 
 
+def test_orders_off_the_lattice_take_no_solve(solves):
+    values, errors, _ = mathieu.char_values(Branch.SE, np.array([0, 1, 0]), 0.2)
+    assert solves == [("eigh", 1, 11)]  # the one order se holds, alone in its stack
+    assert [e is None for e in errors] == [False, True, False] and np.isnan(values[::2]).all()
+
+
 def test_repeated_rows_are_solved_once(solves, monkeypatch):
     order = np.array([6.6, 2.5, 6.6, 6.6, 2.5, 7.3, -1.0, 6.6])
     q = np.array([0.21, 0.21, 0.21, 0.5, 0.21, 0.21, 0.21, 0.0])
@@ -670,6 +676,10 @@ def test_orders_past_the_truncation_cap_are_parameter_errors():
 _CAP = "(m, or nu/2 at fractional order) is above the largest solvable order 65536"
 _OVERFLOW = "(m, or nu/2 at fractional order): its characteristic value overflows a double"
 _Q_BIG = "|q| = 20000.0 exceeds truncation-validity bound 10000.0"
+# orders that the cosine (m >= 0) or sine (m >= 1) lattice does not hold, at q = 0 too
+_OFF_LATTICE = {branch: [(order, q, f"order {order} out of range for {branch.value}")
+                         for order in orders for q in (0.0, 0.2)]
+                for branch, orders in ((Branch.CE, (-1.0, 2.5)), (Branch.SE, (0.0,)))}
 
 
 @pytest.mark.parametrize("branch,rows", [
@@ -681,7 +691,8 @@ _Q_BIG = "|q| = 20000.0 exceeds truncation-validity bound 10000.0"
               (1e160, 0.0, f"order 1e+160 {_OVERFLOW}"),
               (1e160, 0.5, f"order 1e+160 {_CAP}"),  # also overflows
               (math.nan, 0.0, f"order nan {_OVERFLOW}"),
-              (math.nan, math.nan, "q must be finite")])  # also an overflowing order
+              (math.nan, math.nan, "q must be finite")]  # also an overflowing order
+     + _OFF_LATTICE[branch])
     for branch in (Branch.CE, Branch.SE)
 ] + [(None, [
     (1.5, 0.3, None), (2.5, 0.0, None),

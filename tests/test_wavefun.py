@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qring import (
     Branch,
+    IntegrationError,
     ParameterError,
     PhoParams,
     QringError,
@@ -122,6 +123,15 @@ def test_large_m_closed_norm_and_nodes():
             spec = _spec(n_r=n_r, m=m, D=10.0)
             assert spec.N == pytest.approx(normalize_numeric(spec), rel=1e-9)
             assert count_radial_nodes(spec) == n_r
+
+
+@pytest.mark.parametrize("n_r", [187, 200])
+def test_quadrature_overflow_is_an_integration_error(n_r):
+    # the Christoffel sum of the Gauss-Laguerre weights overflows at the outer
+    # nodes from n_r = 187, and the integrand from about n_r = 200: an error
+    # that names the overflow, with no numpy warning and no node dropped
+    with pytest.raises(IntegrationError, match="overflows a double"):
+        normalize_numeric(_spec(n_r=n_r, m=0, D=0.0))
 
 
 @pytest.mark.parametrize("m,parity", [(1024, Branch.CE), (1024, Branch.SE), (2048, Branch.CE),

@@ -19,8 +19,9 @@ one line per row of ``mathieu.char_values``: the value and error text and,
 after a tab, the window (first site and a hash of the unit vector's bits).
 The rows are the distinct Floquet rows (nu, q) of the flux argvs, a seeded
 draw of rows at the bottom and cut off it on all three lattices, with |q| up
-to 1e4, and three rows out of the domain. After them come the wavefunction
-rows: for each state of the wavefunctions workload (seeds 1-3) and of the
+to 1e4, three rows out of the domain, and six orders off their lattice (ce
+-1 and 2.5, se 0, at q = 0 and 0.2). After them come the wavefunction rows:
+for each state of the wavefunctions workload (seeds 1-3) and of the
 wavefunction argvs below, the closed-form N, ``normalize_numeric`` and the
 radial node count, or the error text.
 
@@ -140,6 +141,8 @@ def library():
     nu = np.where(low, rng.uniform(0.0, 12.0, n), 2.0 * m + 1.0 + rng.uniform(-0.05, 0.05, n))
     show("floquet", None, nu[nu % 2.0 != 0.0], q[nu % 2.0 != 0.0])
     show("refused", Branch.CE, np.array([3, 70000, 4]), np.array([2e4, 0.1, np.nan]))
+    for branch, order in ((Branch.CE, -1.0), (Branch.CE, 2.5), (Branch.SE, 0.0)):
+        show(f"off-lattice {branch.value}", branch, np.full(2, order), np.array([0.0, 0.2]))
 
     def wave(label, state, params):
         try:
