@@ -20,13 +20,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import oracle, spectrum, wavefun
-from .errors import DomainError, NumericsError, QringError, UsageError
+from .errors import _MAX_POINTS, DomainError, NumericsError, QringError, UsageError
 from .mathieu import Branch, _raise_first, char_value, char_value_series, series_p8_estimate
 from .params import builtin_materials, from_material, get_material, parse_config
 from .spectrum import QuantumState, SweepConfig
-
-
-_MAX_POINTS = 10 ** 6  # largest range or --points grid, refused before anything is built
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,8 +244,9 @@ def _cmd_wavefunction(args):
         raise UsageError("wavefunction takes exactly one material and one state")
     if args.points < 0:
         raise UsageError(f"--points must be >= 0, got {args.points}")
-    if args.points > _MAX_POINTS:
-        raise UsageError(f"--points must be at most {_MAX_POINTS}, got {args.points}")
+    for flag, value in (("--points", args.points), ("--nr", args.nr[0])):
+        if value > _MAX_POINTS:  # the grid, or one recurrence step per degree
+            raise UsageError(f"{flag} must be at most {_MAX_POINTS}, got {value}")
     state = QuantumState(args.nr[0], args.m[0], args.parity[0], args.delta)
     params = from_material(mats[0], args.D, args.delta)
     if not math.isfinite(args.r_max * params.a_length):  # the grid end, in bohr

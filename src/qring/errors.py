@@ -5,6 +5,11 @@ Exit-code contract for the CLI: usage errors exit 1, numerics errors
 parameters, supercritical collapse, Pochhammer poles) exit 3.
 """
 import math
+import sys
+
+import numpy as np
+
+_MAX_POINTS = 10 ** 6  # largest grid, range or count of recurrence steps, refused before any work
 
 
 class QringError(Exception):
@@ -64,8 +69,19 @@ class PoleError(DomainError):
     """A denominator Pochhammer hit zero before series termination."""
 
 
-def _count(name, value) -> int:
-    """int(value); ParameterError unless value is a non-negative integer (nan, inf are not)."""
+def _count(name, value, top=sys.float_info.max) -> int:
+    """int(value); ParameterError unless value is an integer in [0, top] (nan, inf are not)."""
     if not (value >= 0 and value != math.inf and int(value) == value):
         raise ParameterError(f"{name} must be a non-negative integer, got {value}")
+    if int(value) > top:
+        raise ParameterError(f"{name} = {value} is above {top}")
     return int(value)
+
+
+def _widen(x):
+    """x as a float64 array: a float32 widens, and an integer past the largest double is +-inf."""
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:  # no float comparison, which would flag a nan as invalid
+        return np.vectorize(lambda v: math.inf * (1 if v > 0 else -1) if isinstance(v, int)
+                            and abs(v) > sys.float_info.max else float(v), otypes=[float])(x)

@@ -12,11 +12,11 @@ general nonterminating hypergeometric evaluator.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-from .errors import EvaluationError, IntegrationError, ParameterError, PoleError, _count
+from .errors import (EvaluationError, IntegrationError, ParameterError, PoleError, _MAX_POINTS,
+                     _count, _widen)
 
 
 def gamma(x: float) -> float:
@@ -33,26 +33,34 @@ def hyp1f1_poly(n_r: int, b: float, x: float) -> float:
 
     By the Laguerre recurrence rescaled to M_j = 1F1(-j, b, x):
     (b+j) M_{j+1} = (2j+b-x) M_j - j M_{j-1}, stable where the power sum
-    cancels. x may be an array; n_r = 0 gives the scalar 1.0.
+    cancels. x may be an array; n_r = 0 gives the scalar 1.0. One step per
+    degree, so n_r is at most _MAX_POINTS; a scalar that overflows raises.
     """
-    n = _count("n_r", n_r)
+    n, b, x = _count("n_r", n_r, _MAX_POINTS), float(_widen(b)), _widen(x)
     if not math.isfinite(b) or (b <= 0.0 and b == round(b)):
         raise ParameterError(f"b must be finite and not a non-positive integer, got {b}")
-    prev, cur = 0.0, 1.0
+    scalar, prev, cur = x.ndim == 0, 0.0, 1.0
+    x = float(x) if scalar else x  # a float overflows to inf without a warning
     for j in range(n):
         prev, cur = cur, ((2 * j + b - x) * cur - j * prev) / (b + j)
+    if scalar and not math.isfinite(cur):
+        raise EvaluationError(f"1F1(-{n}, {b}, {x}) overflows a double")
     return cur
 
 
 def laguerre(n: int, k: float, x: float) -> float:
     """Generalized Laguerre L_n^{(k)}(x) = binom(n+k, n) 1F1(-n, k+1, x)."""
-    _count("degree", n)
+    n, k = _count("degree", n), float(_widen(k))
     if not -1.0 < k < math.inf:
         raise ParameterError(f"order must be finite and satisfy k > -1, got {k}")
-    log_binom = math.lgamma(n + k + 1.0) - math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
-    if log_binom > math.log(sys.float_info.max):
-        raise EvaluationError(f"binom(n+k, n) overflows a double for n = {n}, k = {k}")
-    return math.exp(log_binom) * hyp1f1_poly(n, k + 1.0, x)
+    try:  # lgamma, exp and a scalar product overflow by name
+        log_binom = math.lgamma(n + k + 1.0) - math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
+        value = math.exp(log_binom) * hyp1f1_poly(n, k + 1.0, x)
+        if np.ndim(value) == 0 and not math.isfinite(value):
+            raise OverflowError
+    except OverflowError:
+        raise EvaluationError(f"L_n^(k) overflows a double for n = {n}, k = {k}") from None
+    return value
 
 
 def hyp3f2_unit(a1: int, a2: float, a3: float, b1: float, b2: float) -> float:
@@ -136,7 +144,9 @@ def gauss_laguerre(f, n: int, alpha: float) -> float:
     by the recurrence on the same entries (Gautschi 2004), so even the outermost
     keep their relative accuracy. f takes the node array. IntegrationError
     when the (n+1)-point rule disagrees, or a sum or f overflows at a node.
+    Its (n+1)^2 matrix is built only for n <= 1000; the sums overflow from n ~ 190.
     """
+    _count("n", n, 1000)
     k = np.arange(n + 1, dtype=float)
     diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))  # off[0] = 0
     jacobi = np.diag(diag)  # symmetric tridiagonal; the n-point rule's is its leading block

@@ -36,7 +36,8 @@ wanted one on the cosine and sine lattices, where a low order's window is
 clipped at k = 0 and reaches 10 sites above it, and 10 on the Floquet lattice,
 which the window cuts at both ends. The window does not grow with the order, so
 any order up to 2**16 solves at the same cost; higher orders at q != 0 are
-refused (the Sturm count runs over every lower site). q = 0 is exact.
+refused (the Sturm count runs over every lower site). A value at q = 0 is exact
+at any order, but fourier_coeffs, whose vector holds m + 1 entries, keeps the cap.
 
 Each distinct (order, q) of a call is solved once (at non-integer flux the ce
 and se labels of one m share it), in equal stacks of at most 2**17 entries: a
@@ -53,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, _count
+from .errors import ConvergenceError, ParameterError, _count, _widen
 
 _HALF_START = 5  # first window half-width on the cosine and sine lattices, in sites
 _HALF_START_FLOQUET = 10  # first window half-width on the Floquet lattice
@@ -268,21 +269,21 @@ def char_values(branch: Optional[Branch], order, q, _windows=False):
 
     branch CE/SE takes only integer orders m >= 0 (m >= 1 for SE), whose value
     continues (2m)^2 from q = 0; branch None takes fractional orders nu and
-    continues nu^2 along the Floquet lattice. Returns (values, errors,
-    windows), three arrays over the rows; errors and windows are object
-    arrays. A row whose order or q is out of domain, or whose solve fails,
-    has value nan and its QringError in errors; every other entry of errors
-    is None. With _windows set (fourier_coeffs sets it), windows[i] is row
-    i's (first site, unit vector), a single site at q = 0; it is None where
-    errors[i] is set, on the Floquet lattice (branch None) at q = 0, whose
-    window no caller reads, and everywhere without _windows.
+    continues nu^2 along the Floquet lattice; both widen to float64 first.
+    Returns (values, errors, windows), three arrays over the rows. A row out
+    of domain, or whose solve fails, has value nan and its QringError in the
+    object array errors; every other entry is None. With _windows set
+    (fourier_coeffs sets it), windows[i] is row i's (first site, unit vector),
+    a single site at q = 0, where the order cap then holds too; it is None
+    where errors[i] is set, on the Floquet lattice (branch None) at q = 0,
+    whose window no caller reads, and everywhere without _windows.
 
     Rows at q != 0 are solved as the module docstring describes: each round
     splits them into stacks of one kind, cut off the lattice bottom or at it,
     and solves each stack by one path. Rows that repeat an (order, q) get the
     value, error and window of its one solve.
     """
-    order, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(np.asarray(q, dtype=float)))
+    order, q = np.broadcast_arrays(np.atleast_1d(_widen(order)), np.atleast_1d(_widen(q)))
     half = order / 2.0 if branch is None else order
     values = np.full(q.size, np.nan)
     errors = np.full(q.size, None)
@@ -290,28 +291,29 @@ def char_values(branch: Optional[Branch], order, q, _windows=False):
     # the domain rules in order; a row gets the message of the first it breaks
     rules = [] if branch is not None else [
         (~(np.isfinite(order) & (order > 0.0)),
-         lambda i: f"fractional order must be positive and finite, got {order[i].item()}"),
+         lambda i: f"fractional order must be positive and finite, got {order[i]}"),
         (order == 2.0 * np.rint(order / 2.0),
-         lambda i: f"nu = {order[i].item()} is an even integer; use char_value"),
+         lambda i: f"nu = {order[i]} is an even integer; use char_value"),
     ]
     rules += [
         (~np.isfinite(q), lambda i: "q must be finite"),
-        (np.abs(q) > _Q_BOUND, lambda i: f"|q| = {abs(q[i].item())} exceeds "
+        (np.abs(q) > _Q_BOUND, lambda i: f"|q| = {abs(q[i])} exceeds "
                                          f"truncation-validity bound {_Q_BOUND}"),
-        ((q != 0.0) & (half > _ORDER_CAP),  # at q = 0 every finite value is exact
-         lambda i: f"order {half[i].item()} (m, or nu/2 at fractional order) is above the "
+        (((q != 0.0) | _windows) & (half > _ORDER_CAP),  # a q = 0 value is exact, not its vector
+         lambda i: f"order {half[i]} (m, or nu/2 at fractional order) is above the "
                    f"largest solvable order {_ORDER_CAP}"),
         (~(half <= _ORDER_MAX),
-         lambda i: f"order {half[i].item()} (m, or nu/2 at fractional order): its "
+         lambda i: f"order {half[i]} (m, or nu/2 at fractional order): its "
                    f"characteristic value overflows a double"),
     ]
     if branch is not None:  # ce holds the orders 2m with integer m >= 0, se those with m >= 1
         with np.errstate(invalid="ignore"):  # -inf % 1 is nan; -inf is out of range anyway
             off = (order < (branch is Branch.SE)) | (order % 1 != 0)
-        rules.append((off, lambda i: f"order {order[i].item()} out of range for {branch.value}"))
-    for mask, message in rules:
+        rules.append((off, lambda i: f"order {order[i]} out of range for {branch.value}"))
+    broken = np.logical_or.reduce([mask for mask, _ in rules])  # one pass over the masks
+    for mask, message in rules if broken.any() else ():
         _fail(errors, mask, lambda i: ParameterError(message(i)))
-    live = np.equal(errors, None)
+    live = ~broken
     still = live & (q == 0.0)
     values[still] = (order[still] if branch is None else 2.0 * order[still]) ** 2
     if _windows and branch is not None:  # the q = 0 mode is one site of the cosine or sine lattice
@@ -379,10 +381,13 @@ def char_value_fractional(nu: float, q: float) -> MathieuChar:
 
 # --- small-q polynomial form, valid for m > 3 ---
 
-def _series_order(m) -> int:
-    if not 3 < m <= _ORDER_MAX or int(m) != m:
+def _series_args(m, p):
+    order, p = float(_widen(m)), float(_widen(p))
+    if not 3 < order <= _ORDER_MAX or int(order) != order:
         raise ParameterError(f"series form requires integer 3 < m <= {_ORDER_MAX:.6g}, got {m}")
-    return int(m)
+    if not abs(p) <= _Q_BOUND:  # the kernel names the rule on q that p breaks, with no solve
+        _raise_first(char_values(Branch.CE, 4.0, p)[1])
+    return int(order), p
 
 
 def char_value_series(m: int, p: float) -> float:
@@ -392,7 +397,7 @@ def char_value_series(m: int, p: float) -> float:
     orders. Truncation error is O(p^8); see series_p8_estimate. Written in
     t = 1/(4m^2 - 1), no term overflows up to _ORDER_MAX.
     """
-    m = _series_order(m)
+    m, p = _series_args(m, p)
     t = 1.0 / (4.0 * m * m - 1.0)
     return (
         4.0 * m * m
@@ -420,7 +425,7 @@ def series_p8_estimate(m: int, p: float) -> float:
     floor of 4 ulp of the leading term: the series and any float64 reference
     value cannot be distinguished more finely than that.
     """
-    m = _series_order(m)
+    m, p = _series_args(m, p)
     t = 1.0 / (4.0 * m * m)
     poly = ((((274748.0 * t + 827565.0) * t + 64228.0) * t - 140354.0) * t + 9144.0) * t + 1469.0
     c8 = poly * t ** 7 / (8192.0 * (1.0 - t) ** 7 * (1.0 - 4.0 * t) ** 3

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, _widen
 
 # CODATA 2018 Hartree energy in eV
 HARTREE_EV = 27.211386245988
@@ -39,9 +39,10 @@ class SystemParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        vals = (self.A, self.B, self.C, self.D_theta, self.mu, self.delta)
-        if not all(math.isfinite(v) for v in vals):
+        vals = _widen((self.A, self.B, self.C, self.D_theta, self.mu, self.delta))
+        if not all(map(math.isfinite, vals)):
             raise ParameterError("SystemParams fields must be finite")
+        object.__setattr__(self, "delta", float(vals[-1]))  # a float, whatever number type came
         if self.A <= 0:
             raise ParameterError(f"A must be > 0 for bound states, got {self.A}")
         if self.B < 0:
@@ -106,7 +107,7 @@ def from_material(mat: MaterialSpec, D: float, delta: float = 0.0) -> SystemPara
         A=mat.m_star * w0 * w0 / 2.0,
         B=mat.lam * mat.lam / (2.0 * mat.m_star),
         C=0.0,
-        D_theta=D / mat.eps_r,
+        D_theta=float(_widen(D)) / mat.eps_r,
         mu=mat.m_star,
         delta=delta,
     )

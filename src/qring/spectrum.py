@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import mathieu
-from .errors import EvaluationError, ParameterError, SupercriticalError, _count
+from .errors import EvaluationError, ParameterError, SupercriticalError, _count, _widen
 from .mathieu import Branch, _fail, _raise_first
 from .params import MaterialSpec, SystemParams, ev_to_hartree, from_material, hartree_to_ev
 
@@ -38,8 +38,9 @@ class QuantumState:
     delta: float = 0.0
 
     def __post_init__(self):
-        _count("n_r", self.n_r)
-        _count("m", self.m)
+        for name in ("n_r", "m"):  # kept as ints, and delta as a float, whatever number type came
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "delta", float(_widen(self.delta)))
         if self.parity is Branch.SE and self.m == 0:
             raise ParameterError("m = 0 states exist only for the ce branch")
         if not math.isfinite(self.delta):
@@ -127,8 +128,8 @@ def _chain(states, params: SystemParams, q, delta, errors):
     in every column.
     """
     # m, parity is se, 2 n_r + 1, 4 n_r and lambda_0, repeated over each state's block
-    per_state = [(float(s.m), s.parity is Branch.SE, float(2 * s.n_r + 1), float(4 * s.n_r),
-                  math.sqrt(2.0 * params.mu * params.B + s.m * s.m)) for s in states]
+    per_state = [(float(s.m), s.parity is Branch.SE, 2.0 * s.n_r + 1.0, 4.0 * s.n_r,
+                  math.sqrt(2.0 * params.mu * params.B + float(s.m) * s.m)) for s in states]
     m, se, odd, four, lam0 = np.repeat(per_state, q.size // len(states), axis=0).T
     e_theta, c = _angular(m, se == 1.0, q, delta, errors)
     eta, alpha = _radial(e_theta, params, delta, errors)
@@ -155,7 +156,8 @@ def _chain(states, params: SystemParams, q, delta, errors):
         return EvaluationError(f"energy routes {verdict}: closed {closed!r} vs chain {chain!r}",
                                term_trace=[("closed", closed), ("chain", chain)])
 
-    _fail(errors, ~finite | (np.abs(E_closed - E_chain) > 1e-12 * scale), disagree)
+    with np.errstate(invalid="ignore"):  # inf - inf, where finite is False already
+        _fail(errors, ~finite | (np.abs(E_closed - E_chain) > 1e-12 * scale), disagree)
     failed = np.not_equal(errors, None)
     cols = dict(q_mathieu=q, char_value=c, E_theta=e_theta, eta=eta, alpha=alpha,
                 lambda_eff=lam_eff, E=E_closed, correction=lam_eff - lam0)
@@ -224,8 +226,7 @@ def _energies(states, mat: MaterialSpec, D, delta=None):
 
     Every block runs over D and delta; delta defaults to each state's own.
     """
-    D, flux = np.broadcast_arrays(np.atleast_1d(np.asarray(D, dtype=float)),
-                                  np.asarray(0.0 if delta is None else delta, dtype=float))
+    D, flux = np.broadcast_arrays(np.atleast_1d(_widen(D)), _widen(0.0 if delta is None else delta))
     if D.ndim > 1:
         raise ParameterError(f"D and delta must be scalars or 1-d arrays, got shape {D.shape}")
     delta = (np.repeat([s.delta for s in states], D.size) if delta is None

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mathieu, spectrum
-from .errors import EvaluationError, ParameterError
+from .errors import _MAX_POINTS, EvaluationError, ParameterError, _count
 from .hyper import gauss_laguerre, hyp1f1_poly
 from .params import SystemParams
 from .spectrum import QuantumState
@@ -54,6 +54,7 @@ def _closed_form_norm(n_r: int, alpha: float, a: float) -> float:
 
 def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
     """Build a normalized WaveSpec (closed-form N; see normalize_numeric)."""
+    _count("n_r", state.n_r, _MAX_POINTS)  # as hyp1f1_poly, which evaluates its polynomial
     zero_flux = state.delta == params.delta == 0.0
     # at non-zero flux the angular value comes first, so that a bad input raises its own error
     e_theta = None if zero_flux else spectrum.angular_eigenvalue(state, params)[0]
@@ -132,7 +133,8 @@ def count_radial_nodes(spec: WaveSpec) -> int:
     negative ratios M_{j+1}/M_j, j < n_r, at rho is the number of zeros of
     M_{n_r} in (0, rho) (Szego, Orthogonal Polynomials, 1939, ch. 6). At
     rho = 4 n_r + 2 beta + 20, past the largest zero, that is every node.
-    The ratios run the recurrence of hyp1f1_poly and stay finite at any n_r.
+    The ratios run the recurrence of hyp1f1_poly and stay finite at any n_r;
+    like it, the count costs one step per degree, O(n_r).
     """
     n, b = spec.state.n_r, spec.beta
     rho = 4.0 * n + 2.0 * b + 20.0

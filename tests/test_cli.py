@@ -271,6 +271,8 @@ def test_usage_errors_exit_1():
                  ["corrections", "--D-range", "0:1e-300:1e-310"],  # 1e10 points
                  ["wavefunction", "--points", "-1"],
                  ["wavefunction", "--points", "1000000000000"],
+                 ["wavefunction", "--nr", "1000001"],  # one recurrence step per degree
+                 ["wavefunction", "--nr", str(10**30)],
                  ["wavefunction", "--m", "0,1"],  # one state only
                  ["nonsense"],
                  []):
@@ -300,6 +302,10 @@ def test_domain_errors_exit_3():
     # at D = 0 every order solves exactly, unless its value overflows a double
     code, out, err = _run(["energies", "--m", "70000", "--D", "0"])
     assert code == 0 and out.splitlines()[1].split(",")[7] == "19600000000"
+    # but a wavefunction's vector would hold m + 1 coefficients, so its cap holds at D = 0
+    for m in ("70000", "10000000"):
+        code, out, err = _run(["wavefunction", "--m", m, "--D", "0"])
+        assert code == 3 and out == "" and "largest solvable order 65536" in err
     code, out, err = _run(["ab-sweep", "--delta-range", "1e308", "--D", "0"])
     assert code == 3 and out == "" and "overflows a double" in err
     code, out, err = _run(["energies", "--delta=-1e308"])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -134,6 +135,26 @@ def test_gauss_laguerre_names_an_overflowing_integrand():
     # exp(800 x) overflows at the outer node: no numpy warning, and no silent inf or nan
     with pytest.raises(IntegrationError, match="overflows a double"):
         gauss_laguerre(lambda x: np.exp(800.0 * x), 2, 0.5)
+
+
+def test_recurrence_and_rule_sizes_are_refused_before_any_work():
+    # one recurrence step per degree: 2**63 steps used not to return
+    start = time.perf_counter()
+    for call in (lambda: hyp1f1_poly(2**63, 0.5, 0.0), lambda: laguerre(10**7, 0.5, 0.3)):
+        with pytest.raises(ParameterError, match="is above 1000000$"):
+            call()
+    assert time.perf_counter() - start < 1.0
+    # 1001 points would build an 8 MB Jacobi matrix; 30,001 would ask for 7.2 GB
+    with pytest.raises(ParameterError, match="is above 1000$"):
+        gauss_laguerre(lambda x: x, 1001, 0.5)
+
+
+def test_scalar_overflow_is_an_evaluation_error():
+    # a float product overflows to inf without a warning; the scalar path names it
+    with pytest.raises(EvaluationError, match="overflows a double"):
+        hyp1f1_poly(50, 11.0, -5e7)
+    with pytest.raises(EvaluationError, match="overflows a double"):
+        laguerre(50, 10.0, -4e7)  # the polynomial is finite, its binomial multiple is not
 
 
 def test_overlap_quad_gamma_identities():

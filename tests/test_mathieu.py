@@ -5,6 +5,7 @@ package itself never calls them); the acceptance suite separately pins
 the series and collocation routes.
 """
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -667,8 +668,11 @@ def test_orders_past_the_truncation_cap_are_parameter_errors():
     # at q = 0 the value is exact for every order whose square is finite
     assert char_value(65537, Branch.CE, 0.0).value == 131074.0 ** 2
     assert char_value_fractional(2 * 65536 + 0.5, 0.0).value == 131072.5 ** 2
-    fc = fourier_coeffs(65537, Branch.SE, 0.0)
-    assert fc.coeffs[-1] == 1.0 and not fc.coeffs[:-1].any() and fc.value == 131074.0 ** 2
+    # a vector holds m + 1 coefficients, so the cap holds for it at q = 0 as well
+    with pytest.raises(ParameterError, match="65536"):
+        fourier_coeffs(65537, Branch.SE, 0.0)
+    fc = fourier_coeffs(65536, Branch.SE, 0.0)
+    assert fc.coeffs[-1] == 1.0 and not fc.coeffs[:-1].any() and fc.value == 131072.0 ** 2
     values, errors, _ = mathieu.char_values(Branch.CE, 1e160, 0.0)
     assert np.isnan(values[0]) and "overflows" in str(errors[0])
 
@@ -691,7 +695,11 @@ _OFF_LATTICE = {branch: [(order, q, f"order {order} out of range for {branch.val
               (1e160, 0.0, f"order 1e+160 {_OVERFLOW}"),
               (1e160, 0.5, f"order 1e+160 {_CAP}"),  # also overflows
               (math.nan, 0.0, f"order nan {_OVERFLOW}"),
-              (math.nan, math.nan, "q must be finite")]  # also an overflowing order
+              (math.nan, math.nan, "q must be finite"),  # also an overflowing order
+              # Python ints past int64, and past a double, widen to float64 first
+              (2**64, 0.21, f"order 1.8446744073709552e+19 {_CAP}"),
+              (10**200, 0.0, f"order 1e+200 {_OVERFLOW}"),
+              (10**400, 0.0, f"order inf {_OVERFLOW}")]
      + _OFF_LATTICE[branch])
     for branch in (Branch.CE, Branch.SE)
 ] + [(None, [
@@ -706,12 +714,30 @@ _OFF_LATTICE = {branch: [(order, q, f"order {order} out of range for {branch.val
     (1.5, -2e4, _Q_BIG),
     (200001.0, 1.0, f"order 100000.5 {_CAP}"),
     (200001.0, 2e4, _Q_BIG),  # also above the order cap
-])])
+    (10**400, 0.0, "fractional order must be positive and finite, got inf"),
+    (np.float32(0.21), 0.0, None),  # widened, so no cast of a bound to float32 warns
+])] + [(call, rows) for call, rows in (  # the public calls whose domain is not one batch
+    (fourier_coeffs, [((2**63, Branch.CE, 0.0), f"order 9.223372036854776e+18 {_CAP}"),
+                      ((65536, Branch.CE, 0.0), None)]),
+    (char_value_series, [((2**63, 1e308), "|q| = 1e+308 exceeds truncation-validity bound "
+                                          "10000.0"),
+                         ((2**63, np.float32(0.21)), None), ((5, math.nan), "q must be finite")]),
+    (series_p8_estimate, [((2**63, 1e308), "|q| = 1e+308 exceeds truncation-validity bound "
+                                           "10000.0")]),
+)], ids=lambda v: getattr(v, "__name__", None))
 def test_domain_rules_apply_in_order_within_one_batch(branch, rows):
     # a row that breaks several rules gets the message of the first; the valid
     # rows of the batch keep their scalar values, and no cast of an order warns
+    if callable(branch):  # a public call, one row at a time
+        for args, message in rows:
+            if message is None:
+                assert np.all(np.isfinite(getattr(branch(*args), "coeffs", branch(*args))))
+            else:
+                with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                    branch(*args)
+        return
     order, q, messages = zip(*rows)
-    values, errors, _ = mathieu.char_values(branch, np.array(order), np.array(q))
+    values, errors, _ = mathieu.char_values(branch, list(order), list(q))
     assert [None if err is None else str(err) for err in errors] == list(messages)
     assert all(isinstance(err, ParameterError) for err in errors if err is not None)
     for v, nu, x, message in zip(values, order, q, messages):

@@ -12,7 +12,10 @@ runs, on each, every argv below as a cold ``python -m qring.cli`` process:
   1-10;
 * wavefunctions and mixed-order tables that reach both stacks of the
   Mathieu kernel (windows at the bottom of the cosine and sine lattices, and
-  windows cut off it).
+  windows cut off it);
+* wavefunctions past the input bounds: an --nr above the 10**6 recurrence
+  steps, and an --m above the order cap at --D 0, where the angular vector
+  would hold m + 1 coefficients. These are CLI argvs only.
 
 It then runs this script with ``--library`` against each copy. That prints
 one line per row of ``mathieu.char_values``: the value and error text and,
@@ -66,6 +69,11 @@ EXTRA = [
     ("energies", "--m", "3,9", "--parity", "ce,se", "--delta", "0.3", "--D", "50"),
     ("transitions", "--m-hi", "7", "--m-lo", "6", "--parity", "ce,se", "--D-range", "0:100:5"),
 ]
+# argvs past the input bounds; a revision without the bounds runs them for seconds
+BOUNDS = [
+    ("wavefunction", "--nr", "1000001", "--points", "2"),
+    ("wavefunction", "--m", "70000", "--D", "0"),
+]
 
 
 def argvs():
@@ -76,7 +84,7 @@ def argvs():
     for seed in SEEDS:
         for commands, _ in (wl.sweep_commands(seed), wl.flux_commands(seed)):
             out += [(".", c.argv) for c in commands]
-    return out + [(".", argv) for argv in EXTRA]
+    return out + [(".", argv) for argv in EXTRA + BOUNDS]
 
 
 def checkout(rev, dest):
