@@ -283,33 +283,35 @@ def char_values(branch: Optional[Branch], order, q, _windows=False):
     and solves each stack by one path. Rows that repeat an (order, q) get the
     value, error and window of its one solve.
     """
-    order, q = np.broadcast_arrays(np.atleast_1d(_widen(order)), np.atleast_1d(_widen(q)))
+    given, q = np.broadcast_arrays(np.atleast_1d(order), np.atleast_1d(_widen(q)))
+    order = _widen(given)  # the messages show the caller's elements, given
     half = order / 2.0 if branch is None else order
+    shown = half if branch is None else given  # m as given, or nu / 2
     values = np.full(q.size, np.nan)
     errors = np.full(q.size, None)
     windows = np.full(q.size, None)
     # the domain rules in order; a row gets the message of the first it breaks
     rules = [] if branch is not None else [
         (~(np.isfinite(order) & (order > 0.0)),
-         lambda i: f"fractional order must be positive and finite, got {order[i]}"),
+         lambda i: f"fractional order must be positive and finite, got {given[i]}"),
         (order == 2.0 * np.rint(order / 2.0),
-         lambda i: f"nu = {order[i]} is an even integer; use char_value"),
+         lambda i: f"nu = {given[i]} is an even integer; use char_value"),
     ]
     rules += [
         (~np.isfinite(q), lambda i: "q must be finite"),
         (np.abs(q) > _Q_BOUND, lambda i: f"|q| = {abs(q[i])} exceeds "
                                          f"truncation-validity bound {_Q_BOUND}"),
         (((q != 0.0) | _windows) & (half > _ORDER_CAP),  # a q = 0 value is exact, not its vector
-         lambda i: f"order {half[i]} (m, or nu/2 at fractional order) is above the "
+         lambda i: f"order {shown[i]} (m, or nu/2 at fractional order) is above the "
                    f"largest solvable order {_ORDER_CAP}"),
         (~(half <= _ORDER_MAX),
-         lambda i: f"order {half[i]} (m, or nu/2 at fractional order): its "
+         lambda i: f"order {shown[i]} (m, or nu/2 at fractional order): its "
                    f"characteristic value overflows a double"),
     ]
     if branch is not None:  # ce holds the orders 2m with integer m >= 0, se those with m >= 1
         with np.errstate(invalid="ignore"):  # -inf % 1 is nan; -inf is out of range anyway
             off = (order < (branch is Branch.SE)) | (order % 1 != 0)
-        rules.append((off, lambda i: f"order {order[i]} out of range for {branch.value}"))
+        rules.append((off, lambda i: f"order {given[i]} out of range for {branch.value}"))
     broken = np.logical_or.reduce([mask for mask, _ in rules])  # one pass over the masks
     for mask, message in rules if broken.any() else ():
         _fail(errors, mask, lambda i: ParameterError(message(i)))
