@@ -144,9 +144,9 @@ def gauss_laguerre(f, n: int, alpha: float) -> float:
     by the recurrence on the same entries (Gautschi 2004), so even the outermost
     keep their relative accuracy. f takes the node array. IntegrationError
     when the (n+1)-point rule disagrees, or a sum or f overflows at a node.
-    Its (n+1)^2 matrix is built only for n <= 1000; the sums overflow from n ~ 190.
+    n > 1000 is a ParameterError before the (n+1)^2 matrix is built (sums overflow from ~190).
     """
-    _count("n", n, 1000)
+    _count("points", n, 1000)
     k = np.arange(n + 1, dtype=float)
     diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))  # off[0] = 0
     jacobi = np.diag(diag)  # symmetric tridiagonal; the n-point rule's is its leading block
