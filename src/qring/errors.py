@@ -79,7 +79,7 @@ def _count(name, value, top=sys.float_info.max) -> int:
 
 
 def _widen(x):
-    """x as a float64 array: a float32 widens, and an integer past the largest double is +-inf."""
+    """x as a float64 array: a float32 widens, and a Python int past the largest double is +-inf."""
     try:
         return np.asarray(x, dtype=float)
     except OverflowError:  # no float comparison, which would flag a nan as invalid

@@ -309,7 +309,7 @@ def char_values(branch: Optional[Branch], order, q, _windows=False):
                    f"characteristic value overflows a double"),
     ]
     if branch is not None:  # ce holds the orders 2m with integer m >= 0, se those with m >= 1
-        off = (order < (branch is Branch.SE)) | (order != np.floor(order))  # +inf broke the overflow rule
+        off = (order < (branch is Branch.SE)) | (order != np.floor(order))  # +inf: overflow rule
         rules.append((off, lambda i: f"order {given[i]} out of range for {branch.value}"))
     broken = np.logical_or.reduce([mask for mask, _ in rules])  # one pass over the masks
     for mask, message in rules if broken.any() else ():

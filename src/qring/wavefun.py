@@ -54,7 +54,7 @@ def _closed_form_norm(n_r: int, alpha: float, a: float) -> float:
 
 def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
     """Build a normalized WaveSpec (closed-form N; see normalize_numeric)."""
-    _count("n_r", state.n_r, _MAX_POINTS)  # as hyp1f1_poly, which evaluates its polynomial
+    _count("n_r", state.n_r, _MAX_POINTS)  # bounded as in hyp1f1_poly, the radial polynomial
     zero_flux = state.delta == params.delta == 0.0
     # at non-zero flux the angular value comes first, so that a bad input raises its own error
     e_theta = None if zero_flux else spectrum.angular_eigenvalue(state, params)[0]

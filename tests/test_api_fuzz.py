@@ -19,7 +19,7 @@ from qring import (Branch, QuantumState, QringError, ab_correction, char_value,
                    char_value_fractional, char_value_series, fourier_coeffs, from_material,
                    get_material, hyp1f1_poly, laguerre, make_wave, qr_energy, series_p8_estimate)
 
-_BUDGET_S = 5.0  # per call; the slowest legal input (an order near 2**16 at large q) takes ~2 s
+_BUDGET_S = 5.0  # per call; an order near 2**16 at q = 1e4 takes 0.34 s (x86-64, 2 cores)
 
 _SPECIAL = [0, 1, 3, 4, 5, -1, 2**16, 2**16 + 1, 2**63, 2**64, 10**200, 10**400, -10**400,
             True, False, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.21, 1e4, 2e4, 1e308,
@@ -34,11 +34,6 @@ _NUMBERS = st.one_of(
 )
 _GAAS = get_material("GaAs")
 
-
-def _state(n_r, m, parity, delta):
-    return QuantumState(n_r, m, parity, delta)
-
-
 # each public function with the arguments it draws from _NUMBERS, then any fixed ones
 _CALLS = {
     "char_value": (lambda m, q, b: char_value(m, b, q).value, 2),
@@ -48,12 +43,12 @@ _CALLS = {
     "series_p8_estimate": (lambda m, p, b: series_p8_estimate(m, p), 2),
     "hyp1f1_poly": (lambda n, b_, x, b: hyp1f1_poly(n, b_, x), 3),
     "laguerre": (lambda n, k, x, b: laguerre(n, k, x), 3),
-    "qr_energy": (lambda n_r, m, delta, D, b: qr_energy(_state(n_r, m, b, delta), _GAAS, D).E,
+    "qr_energy": (lambda n_r, m, delta, D, b: qr_energy(QuantumState(n_r, m, b, delta), _GAAS, D).E,
                   4),
-    "ab_correction": (lambda m, delta, D, b: ab_correction(_state(0, m, b, 0.0), _GAAS, delta, D),
+    "ab_correction": (lambda m, delta, D, b: ab_correction(QuantumState(0, m, b), _GAAS, delta, D),
                       3),
     "make_wave": (lambda n_r, m, delta, D, b: make_wave(
-        _state(n_r, m, b, delta), from_material(_GAAS, D, delta)).N, 4),
+        QuantumState(n_r, m, b, delta), from_material(_GAAS, D, delta)).N, 4),
 }
 
 
