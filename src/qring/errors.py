@@ -85,3 +85,16 @@ def _widen(x):
     except OverflowError:  # no float comparison, which would flag a nan as invalid
         return np.vectorize(lambda v: math.inf * (1 if v > 0 else -1) if isinstance(v, int)
                             and abs(v) > sys.float_info.max else float(v), otypes=[float])(x)
+
+
+def _real(name, value, low=-math.inf, strict=False):
+    """value through _widen, a float if 0-d; ParameterError naming the first entry, as the
+    caller gave it, that is not finite or is below low (or at low, when strict)."""
+    x = _widen(value)
+    v = x if x.ndim else float(x)  # a float compares without numpy's per-call cost
+    ok = (abs(v) < math.inf) & ((v > low) if strict else (v >= low))
+    if not (ok.all() if x.ndim else ok):
+        given = np.ravel(np.array(value, dtype=object))[np.argmin(ok)] if x.ndim else value
+        rule = f" and {'>' if strict else '>='} {low}" if low > -math.inf else ""
+        raise ParameterError(f"{name} must be finite{rule}, got {given}")
+    return v

@@ -16,16 +16,18 @@ import math
 import numpy as np
 
 from .errors import (EvaluationError, IntegrationError, ParameterError, PoleError, _MAX_POINTS,
-                     _count, _widen)
+                     _count, _real, _widen)
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for real x, poles at non-positive integers rejected."""
-    if not math.isfinite(x):
-        raise ParameterError(f"gamma argument must be finite, got {x}")
+    """Gamma(x) for real x, poles at non-positive integers rejected, overflow named."""
+    x = _real("gamma argument", x)
     if x <= 0.0 and x == round(x):
         raise EvaluationError(f"gamma pole at x = {x}", term_trace=[("x", x)])
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise EvaluationError(f"gamma({x}) overflows a double", term_trace=[("x", x)]) from None
 
 
 def hyp1f1_poly(n_r: int, b: float, x: float) -> float:
@@ -36,8 +38,8 @@ def hyp1f1_poly(n_r: int, b: float, x: float) -> float:
     cancels. x may be an array; n_r = 0 gives the scalar 1.0. One step per
     degree, so n_r is at most _MAX_POINTS; a scalar that overflows raises.
     """
-    n, b, x = _count("n_r", n_r, _MAX_POINTS), float(_widen(b)), _widen(x)
-    if not math.isfinite(b) or (b <= 0.0 and b == round(b)):
+    n, b, x = _count("n_r", n_r, _MAX_POINTS), _real("b", b), _widen(x)
+    if b <= 0.0 and b == round(b):
         raise ParameterError(f"b must be finite and not a non-positive integer, got {b}")
     scalar, prev, cur = x.ndim == 0, 0.0, 1.0
     x = float(x) if scalar else x  # a float overflows to inf without a warning
@@ -50,9 +52,7 @@ def hyp1f1_poly(n_r: int, b: float, x: float) -> float:
 
 def laguerre(n: int, k: float, x: float) -> float:
     """Generalized Laguerre L_n^{(k)}(x) = binom(n+k, n) 1F1(-n, k+1, x)."""
-    n, k = _count("degree", n), float(_widen(k))
-    if not -1.0 < k < math.inf:
-        raise ParameterError(f"order must be finite and satisfy k > -1, got {k}")
+    n, k = _count("degree", n), _real("order k", k, -1, strict=True)
     try:  # lgamma, exp and a scalar product overflow by name
         log_binom = math.lgamma(n + k + 1.0) - math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
         value = math.exp(log_binom) * hyp1f1_poly(n, k + 1.0, x)
@@ -69,9 +69,7 @@ def hyp3f2_unit(a1: int, a2: float, a3: float, b1: float, b2: float) -> float:
     Raises PoleError if a denominator Pochhammer vanishes before the series
     has terminated (either via a1 or via an earlier-vanishing numerator).
     """
-    if not (-math.inf < a1 <= 0 and int(a1) == a1):
-        raise ParameterError(f"first parameter must be a non-positive integer, got {a1}")
-    n = int(-a1)
+    n = _count("-a1", -a1)
     acc = 1.0
     term = 1.0
     for k in range(n):
@@ -103,11 +101,8 @@ def normalization_constant(n_r: int, alpha: float, a: float) -> float:
     (wavefun.normalize_numeric); the numerically validated value is
     authoritative where the two disagree. See DISCREPANCIES.md.
     """
-    n = _count("n_r", n_r)
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
-    if a <= 0.0:
-        raise ParameterError(f"length scale a must be > 0, got {a}")
+    n, alpha = _count("n_r", n_r), _real("alpha", alpha, 0, strict=True)
+    a = _real("length scale a", a, 0, strict=True)
     trace = []
 
     def traced(label, fn, *args):
@@ -119,8 +114,7 @@ def normalization_constant(n_r: int, alpha: float, a: float) -> float:
 
     g_top = traced("gamma(n+2a+1/2)", gamma, n + 2 * alpha + 0.5)
     g_half = traced("gamma(2a+1/2)", gamma, 2 * alpha + 0.5)
-    prefactor = g_top / (g_half * a * g_top)
-    trace.append(("prefactor", prefactor))
+    prefactor = traced("prefactor", lambda: g_top / (g_half * a * g_top))  # inf for a tiny a
     g_neg = traced("gamma(-1/2)", gamma, -0.5)
     g_2a1 = traced("gamma(2a+1)", gamma, 2 * alpha + 1.0)
     g_nm = traced("gamma(n-1/2)", gamma, n - 0.5)
@@ -129,11 +123,11 @@ def normalization_constant(n_r: int, alpha: float, a: float) -> float:
     )
     bracket = 2.0 * g_half * g_neg / (g_top * g_2a1 * g_nm * f32)
     trace.append(("bracket", bracket))
-    if not math.isfinite(bracket) or bracket < 0.0:
+    if not 0.0 < bracket < math.inf:  # 0 where the denominator overflowed: N = 0 is never right
         raise EvaluationError(
             f"bracket under the square root is {bracket}", term_trace=trace
         )
-    return prefactor * math.sqrt(bracket)
+    return traced("N", lambda: prefactor * math.sqrt(bracket))
 
 
 def gauss_laguerre(f, n: int, alpha: float) -> float:

@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, _count, _widen
+from .errors import ConvergenceError, ParameterError, _count, _real, _widen
 
 _HALF_START = 5  # first window half-width on the cosine and sine lattices, in sites
 _HALF_START_FLOQUET = 10  # first window half-width on the Floquet lattice
@@ -468,10 +468,10 @@ def eval_angular(theta, coeffs: FourierCoeffs, delta: float = 0.0):
     pi-normalization holds for any delta). Accepts scalar or array theta.
     One Horner sum s = sum_k c_k e^{ik theta}: CE is Re s, SE Im(e^{i theta} s).
     """
-    th = np.asarray(theta, dtype=float)
+    th, delta = _real("theta", theta), _real("delta", delta)
+    with np.errstate(over="ignore"):  # a phase past the largest double is refused by name
+        phase = _real("delta * theta", delta * th)
     z = np.exp(1j * th)
     s = np.polynomial.polynomial.polyval(z, coeffs.coeffs)  # sum_k c_k z^k by Horner
-    out = (s.real if coeffs.branch is Branch.CE else (z * s).imag) * np.exp(1j * delta * th)
-    if np.isscalar(theta) or getattr(theta, "ndim", 0) == 0:
-        return complex(out)
-    return out
+    out = (s.real if coeffs.branch is Branch.CE else (z * s).imag) * np.exp(1j * phase)
+    return out if np.ndim(th) else complex(out)

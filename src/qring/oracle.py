@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError, SupercriticalError
+from .errors import NumericsError, ParameterError, SupercriticalError, _count, _real
 from .params import SystemParams
 
 
@@ -45,8 +45,13 @@ def angular_fd_eigs(delta: float, p: float, N: int, method: str = "fourier") -> 
     2pi-periodic single-valued discretization; the operator is Hermitian so
     the returned values (the angular energies E_theta, ascending) are real.
     """
+    N = _count("N", N, 1024)  # the dense complex matrix holds N^2 entries
     if N < 64 or N % 2:
         raise ParameterError(f"N must be even and >= 64, got {N}")
+    delta, p = _real("delta", delta), _real("p", p)
+    # an entry is below N^2 + |delta| N + |p|: N times that bounds every sum in the solve
+    _real(f"delta = {delta}, p = {p}: the operator bound on {N} points",
+          N * (N * N + N * abs(delta) + abs(p)))
     th = np.arange(N) * (2.0 * math.pi / N)
     if method == "fourier":
         d1, d2 = _fourier_diff_matrices(N)
@@ -86,7 +91,7 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
     if not 1 <= n_max <= levels[0]:
         raise ParameterError(f"n_max must be in 1..{levels[0]} (the coarsest grid), got {n_max}")
     beta = params.B + params.delta * params.delta / (2.0 * params.mu)
-    eta = E_theta - 2.0 * params.mu * beta + 0.25
+    eta = _real("E_theta", E_theta) - 2.0 * params.mu * beta + 0.25
     if 1.0 - 4.0 * eta < 0.0:
         raise SupercriticalError(f"1 - 4 eta = {1.0 - 4.0 * eta} < 0")
     r_max = 9.0 * params.a_length
@@ -95,7 +100,9 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
     for N in levels:  # the finest grid is solved with vectors, for the residual check
         h = r_max / N
         r = (np.arange(N) + 0.5) * h
-        d = 2.0 / (h * h) - eta / r ** 2 + 2.0 * params.mu * params.A * r ** 2
+        with np.errstate(over="ignore"):  # an entry past the largest double is refused by name
+            d = _real(f"E_theta = {E_theta}: the radial operator",
+                      2.0 / (h * h) - eta / r ** 2 + 2.0 * params.mu * params.A * r ** 2)
         e = np.full(N - 1, -1.0 / (h * h))
         vals.append(eigh_tridiagonal(d, e, eigvals_only=N < levels[-1], select="i",
                                      select_range=(0, n_max - 1)))
@@ -131,7 +138,7 @@ def convergence_report(seq) -> ConvergenceReport:
     sign-flipping difference pattern is flagged "unreliable" and the last
     value is returned unextrapolated.
     """
-    vals = [float(v) for v in seq]
+    vals = np.ravel(_real("estimates", seq)).tolist()
     if len(vals) < 3:
         raise ParameterError("need at least 3 grid levels")
     v1, v2, v3 = vals[-3:]

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, _widen
+from .errors import ParameterError, _real, _widen
 
 # CODATA 2018 Hartree energy in eV
 HARTREE_EV = 27.211386245988
@@ -72,14 +72,9 @@ class MaterialSpec:
     hbar_omega0: float = 1.0
 
     def __post_init__(self):
-        if self.m_star <= 0:
-            raise ParameterError(f"m_star must be > 0, got {self.m_star}")
-        if self.eps_r <= 0:
-            raise ParameterError(f"eps_r must be > 0, got {self.eps_r}")
-        if self.lam < 0:
-            raise ParameterError(f"lambda must be >= 0, got {self.lam}")
-        if not (math.isfinite(self.hbar_omega0) and self.hbar_omega0 > 0):
-            raise ParameterError(f"hbar_omega0 must be finite and > 0, got {self.hbar_omega0}")
+        for field, name, strict in (("m_star", "m_star", True), ("eps_r", "eps_r", True),
+                                    ("lam", "lambda", False), ("hbar_omega0", "hbar_omega0", True)):
+            object.__setattr__(self, field, _real(name, getattr(self, field), 0, strict))
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,8 @@ class PhoParams:
     r_e: float
 
     def __post_init__(self):
-        if self.D_e <= 0 or self.r_e <= 0:
-            raise ParameterError("PhoParams requires D_e > 0 and r_e > 0")
+        for name in ("D_e", "r_e"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0, strict=True))
 
 
 def from_material(mat: MaterialSpec, D: float, delta: float = 0.0) -> SystemParams:
@@ -100,14 +95,13 @@ def from_material(mat: MaterialSpec, D: float, delta: float = 0.0) -> SystemPara
     A = m* omega0^2 / 2, B = lambda^2 / (2 m*), C = 0, D_theta = D / eps_r,
     with omega0 converted from the material's hbar_omega0 (eV).
     """
-    if D < 0:
-        raise ParameterError(f"dipole moment D must be >= 0, got {D}")
+    D = _real("dipole moment D", D, 0)
     w0 = ev_to_hartree(mat.hbar_omega0)
     return SystemParams(
         A=mat.m_star * w0 * w0 / 2.0,
         B=mat.lam * mat.lam / (2.0 * mat.m_star),
         C=0.0,
-        D_theta=float(_widen(D)) / mat.eps_r,
+        D_theta=D / mat.eps_r,
         mu=mat.m_star,
         delta=delta,
     )
@@ -119,7 +113,7 @@ def from_pho(p: PhoParams, mu: float, delta: float = 0.0) -> SystemParams:
     A = D_e / r_e^2, B = D_e r_e^2, C = -2 D_e, no dipole term.
     """
     return SystemParams(
-        A=p.D_e / (p.r_e * p.r_e),
+        A=p.D_e / _real("r_e^2", p.r_e * p.r_e, 0, strict=True),  # it can underflow to 0
         B=p.D_e * p.r_e * p.r_e,
         C=-2.0 * p.D_e,
         D_theta=0.0,
@@ -130,6 +124,7 @@ def from_pho(p: PhoParams, mu: float, delta: float = 0.0) -> SystemParams:
 
 def is_tan_inkson(params: SystemParams, rtol: float = 1e-12) -> bool:
     """True when C = -2 sqrt(A B), the ring form whose minimum sits at V = 0."""
+    rtol = _real("rtol", rtol, 0)
     target = -2.0 * math.sqrt(params.A * params.B)
     if target == 0.0:
         return params.C == 0.0

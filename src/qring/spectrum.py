@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import mathieu
-from .errors import EvaluationError, ParameterError, SupercriticalError, _count, _widen
+from .errors import EvaluationError, ParameterError, SupercriticalError, _count, _real, _widen
 from .mathieu import Branch, _fail, _raise_first
 from .params import MaterialSpec, SystemParams, ev_to_hartree, from_material, hartree_to_ev
 
@@ -40,11 +40,9 @@ class QuantumState:
     def __post_init__(self):
         for name in ("n_r", "m"):  # kept as ints, and delta as a float, whatever number type came
             object.__setattr__(self, name, _count(name, getattr(self, name)))
-        object.__setattr__(self, "delta", float(_widen(self.delta)))
         if self.parity is Branch.SE and self.m == 0:
             raise ParameterError("m = 0 states exist only for the ce branch")
-        if not math.isfinite(self.delta):
-            raise ParameterError("delta must be finite")
+        object.__setattr__(self, "delta", _real("delta", self.delta))
 
 
 @dataclass(frozen=True)
@@ -112,10 +110,10 @@ def _angular(m, se, q, delta, errors):
 
 def _radial(e_theta, params: SystemParams, delta, errors):
     """(eta, alpha) over arrays; supercritical rows get an error and nan."""
-    with np.errstate(over="ignore"):  # a flux beyond the order cap has failed already
+    with np.errstate(over="ignore"):  # such a row fails by name: a huge flux, or 1 - 4 eta < 0
         beta = params.B + delta * delta / (2.0 * params.mu)
-    eta = e_theta - 2.0 * params.mu * beta + 0.25
-    disc = 1.0 - 4.0 * eta
+        eta = e_theta - 2.0 * params.mu * beta + 0.25
+        disc = 1.0 - 4.0 * eta
     _fail(errors, disc < 0.0, lambda i: SupercriticalError(
         f"1 - 4 eta = {float(disc[i])} < 0: inverse-square collapse, no regular state"))
     return eta, (1.0 + np.sqrt(np.where(disc >= 0.0, disc, np.nan))) / 4.0
@@ -187,9 +185,10 @@ def radial_exponent(E_theta: float, params: SystemParams):
     alpha = (1 + sqrt(1 - 4 eta)) / 4 is the regular-solution exponent.
     """
     errors = np.full(1, None)
-    eta, alpha = _radial(np.array([E_theta]), params, np.array([params.delta]), errors)
+    eta, alpha = _radial(np.array([_real("E_theta", E_theta)]), params, np.array([params.delta]),
+                         errors)
     _raise_first(errors)
-    return float(eta[0]), float(alpha[0])
+    return float(eta[0]), _real("alpha at this E_theta", alpha[0])  # 1 - 4 eta can overflow
 
 
 def energy(state: QuantumState, params: SystemParams) -> SpectrumRow:
@@ -375,9 +374,7 @@ class SweepConfig:
     d_values: tuple
 
     def __post_init__(self):
-        for d in self.d_values:
-            if not math.isfinite(d) or d < 0:
-                raise ParameterError(f"sweep D values must be finite and >= 0, got {d}")
+        _real("sweep D values", self.d_values, 0)
         named = {}
         for mat in self.materials:  # the rows name their material by name alone
             if named.setdefault(mat.name, mat) != mat:
@@ -394,7 +391,7 @@ def _groups(config: SweepConfig):
     grid by (material, parity, m, n_r, delta, D) and rows with equal keys are
     equal.
     """
-    d_values = np.sort(np.array(config.d_values, dtype=float), kind="stable")
+    d_values = np.sort(np.ravel(_widen(config.d_values)), kind="stable")  # a bare number is one D
     mats, states = Counter(config.materials), Counter(config.states)
     for mat, rows in _solve(mats, states, d_values):
         for state in sorted(states, key=lambda s: (s.parity.value, s.m, s.n_r, s.delta)):

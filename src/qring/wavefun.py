@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mathieu, spectrum
-from .errors import _MAX_POINTS, EvaluationError, ParameterError, _count
+from .errors import _MAX_POINTS, EvaluationError, ParameterError, _count, _real
 from .hyper import gauss_laguerre, hyp1f1_poly
 from .params import SystemParams
 from .spectrum import QuantumState
@@ -73,25 +73,25 @@ def make_wave(state: QuantumState, params: SystemParams) -> WaveSpec:
 
 
 def _radial_factor(spec: WaveSpec, r):
-    rho = (np.asarray(r, dtype=float) / spec.a) ** 2
-    # N (r/a)^(beta-1) e^(-rho/2) in one exponent: the power alone overflows
-    # at large m; log 0 = -inf makes r = 0 exactly 0 (beta > 1)
-    with np.errstate(divide="ignore"):
+    # N (r/a)^(beta-1) e^(-rho/2) in one exponent: the power alone overflows at large m;
+    # log 0 = -inf makes r = 0 exactly 0 (beta > 1). Far out the polynomial overflows before
+    # the Gaussian acts (and a numpy square, where a float power raises): named below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = np.square(r / spec.a)
         scale = np.exp(math.log(spec.N) + 0.5 * ((spec.beta - 1.0) * np.log(rho) - rho))
-    return scale / math.sqrt(spec.a) * hyp1f1_poly(spec.state.n_r, spec.beta, rho)
+        f = scale / math.sqrt(spec.a) * hyp1f1_poly(spec.state.n_r, spec.beta, rho)
+        overflow = ~np.isfinite(r * np.abs(f) ** 2)
+    if overflow.any():
+        raise EvaluationError(f"density overflows at {int(overflow.sum())} of {overflow.size} "
+                              f"grid points for {spec.state}", term_trace=[("N", spec.N)])
+    return f
 
 
 def psi(spec: WaveSpec, r, theta):
     """psi(r, theta), complex. Scalar or array arguments (broadcastable)."""
-    r_arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r_arr) & (r_arr >= 0)) or not np.all(np.isfinite(theta)):
-        raise ParameterError("r must be finite and >= 0, theta finite")
-    radial = _radial_factor(spec, r_arr)
-    angular = mathieu.eval_angular(theta, spec.coeffs, spec.params.delta)
-    out = radial * angular
-    if np.isscalar(r) and np.isscalar(theta):
-        return complex(out)
-    return out
+    out = (_radial_factor(spec, _real("r", r, 0))
+           * mathieu.eval_angular(theta, spec.coeffs, spec.params.delta))
+    return complex(out) if np.isscalar(r) and np.isscalar(theta) else out
 
 
 def normalize_numeric(spec: WaveSpec) -> float:
@@ -151,18 +151,10 @@ def radial_profile(spec: WaveSpec, r_grid) -> ProfileTable:
     The density is |R(r)|^2 = r |f(r)|^2, which integrates (times pi from
     the angular factor) to 1; its n_r = 0 maximum sits near r = a sqrt(2 alpha).
     """
-    r = np.asarray(r_grid, dtype=float)
-    if not np.all(r >= 0) or np.any(np.diff(r) < 0):  # r >= 0 is False for nan
+    r = np.atleast_1d(_real("r_grid", r_grid, 0))
+    if np.any(np.diff(r) < 0):
         raise ParameterError("r_grid must be ascending and non-negative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        dens = r * np.abs(_radial_factor(spec, r)) ** 2
-    overflow = ~np.isfinite(dens)
-    if overflow.any():
-        # the polynomial overflows far out on the grid before the Gaussian acts
-        raise EvaluationError(
-            f"density overflows at {int(overflow.sum())} of {r.size} grid points "
-            f"for {spec.state}", term_trace=[("N", spec.N)]
-        )
+    dens = r * np.abs(_radial_factor(spec, r)) ** 2
     return ProfileTable(
         rows=tuple(zip(r.tolist(), dens.tolist())),
         nodes=count_radial_nodes(spec),

@@ -1,10 +1,11 @@
 """Library contract under adversarial numbers.
 
-Every public scalar function, fed Python ints up to 10**400, numpy int64 and
-float32 scalars, bools, signed zeros, subnormals, infinities and nan, must
-return finite numbers or raise a QringError, with warnings as errors, within
-a fixed wall-time budget. The draws are derandomized unless pytest is run
-with --hypothesis-seed=N, which then picks them.
+Every public call that reads a number, fed Python ints up to 10**400, numpy
+int64 and float32 scalars, bools, signed zeros, subnormals, infinities and nan,
+must return finite numbers or raise a QringError, with warnings as errors,
+within a fixed wall-time budget; the oracles run on fixed small grids. The
+draws are derandomized unless pytest is run with --hypothesis-seed=N, which
+then picks them.
 """
 import math
 import signal
@@ -15,9 +16,12 @@ import pytest
 from hypothesis import core, given, settings
 from hypothesis import strategies as st
 
-from qring import (Branch, QuantumState, QringError, ab_correction, char_value,
-                   char_value_fractional, char_value_series, fourier_coeffs, from_material,
-                   get_material, hyp1f1_poly, laguerre, make_wave, qr_energy, series_p8_estimate)
+from qring import (Branch, MaterialSpec, PhoParams, QuantumState, QringError, SweepConfig,
+                   ab_correction, angular_fd_eigs, char_value, char_value_fractional,
+                   char_value_series, convergence_report, eval_angular, fourier_coeffs,
+                   from_material, from_pho, gamma, get_material, hyp1f1_poly, is_tan_inkson,
+                   laguerre, make_wave, normalization_constant, psi, qr_energy, radial_exponent,
+                   radial_fd_eigs, radial_profile, series_p8_estimate, sweep)
 
 _BUDGET_S = 5.0  # per call; an order near 2**16 at q = 1e4 takes 0.34 s (x86-64, 2 cores)
 
@@ -33,6 +37,8 @@ _NUMBERS = st.one_of(
     st.floats(),
 )
 _GAAS = get_material("GaAs")
+_PARAMS = from_material(_GAAS, 1.0)
+_SPEC = {b: make_wave(QuantumState(1, 1, b), _PARAMS) for b in Branch}
 
 # each public function with the arguments it draws from _NUMBERS, then any fixed ones
 _CALLS = {
@@ -49,6 +55,25 @@ _CALLS = {
                       3),
     "make_wave": (lambda n_r, m, delta, D, b: make_wave(
         QuantumState(n_r, m, b, delta), from_material(_GAAS, D, delta)).N, 4),
+    "gamma": (lambda x, b: gamma(x), 1),
+    "normalization_constant": (lambda n_r, alpha, a, b: normalization_constant(n_r, alpha, a), 3),
+    "MaterialSpec": (lambda m_star, eps_r, lam, hw, b: from_material(
+        MaterialSpec("x", m_star, eps_r, lam, hw), 1.0).A, 4),
+    "from_material": (lambda D, delta, b: from_material(_GAAS, D, delta).D_theta, 2),
+    "QuantumState": (lambda n_r, m, delta, b: QuantumState(n_r, m, b, delta).delta, 3),
+    "from_pho": (lambda D_e, r_e, mu, delta, b: from_pho(PhoParams(D_e, r_e), mu, delta).A, 4),
+    "SweepConfig": (lambda d0, d1, b: [row.E for row in sweep(SweepConfig(
+        (_GAAS,), (QuantumState(0, 1, b),), (d0, d1))) if row.error is None], 2),
+    "radial_exponent": (lambda e_theta, b: radial_exponent(e_theta, _PARAMS), 1),
+    "eval_angular": (lambda theta, delta, b: eval_angular(theta, _SPEC[b].coeffs, delta), 2),
+    "psi": (lambda r, theta, b: psi(_SPEC[b], r, theta), 2),
+    "radial_profile": (lambda r0, r1, b: radial_profile(_SPEC[b], [r0, r1]).rows, 2),
+    # the oracles on fixed grids: a larger N or n_max costs seconds per call
+    "angular_fd_eigs": (lambda delta, p, b: angular_fd_eigs(delta, p, 64).eigenvalues, 2),
+    "radial_fd_eigs": (lambda e_theta, b: radial_fd_eigs(e_theta, _PARAMS, 3).eigenvalues, 1),
+    "is_tan_inkson": (lambda rtol, b: is_tan_inkson(_PARAMS, rtol), 1),
+    "convergence_report": (lambda v0, v1, v2, b: convergence_report([v0, v1, v2]).extrapolated,
+                           3),
 }
 
 
@@ -60,8 +85,8 @@ def _alarm(signum, frame):
     raise _OverBudget
 
 
-@settings(derandomize=core.global_force_seed is None, deadline=None, max_examples=300,
-          database=None)
+@settings(derandomize=core.global_force_seed is None, deadline=None,
+          max_examples=30 * len(_CALLS), database=None)  # about 30 draws per call
 @given(st.sampled_from(sorted(_CALLS)), st.lists(_NUMBERS, min_size=4, max_size=4),
        st.sampled_from([Branch.CE, Branch.SE]))
 def test_every_public_call_returns_a_finite_number_or_a_typed_error(name, numbers, branch):

@@ -88,7 +88,8 @@ def test_hyp1f1_rejects_polynomial_breakdown():
     (laguerre, (2, math.nan, 1.0)), (laguerre, (2, math.inf, 1.0)),
     (hyp1f1_poly, (2, math.nan, 1.0)), (hyp1f1_poly, (2, math.inf, 1.0)),
     (hyp1f1_poly, (2, -math.inf, 1.0)),
-    (normalization_constant, (1, 0.0, 1.0)), (normalization_constant, (1, 0.5, -1.0))],
+    (normalization_constant, (1, 0.0, 1.0)), (normalization_constant, (1, 0.5, -1.0)),
+    (normalization_constant, (1, 1.0, math.nan))],
     ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_non_finite_parameters_are_parameter_errors(function, args):
     # nan passed every check and came back as nan; -inf and a nan first 3F2
@@ -149,12 +150,27 @@ def test_recurrence_and_rule_sizes_are_refused_before_any_work():
         gauss_laguerre(lambda x: x, 1001, 0.5)
 
 
+def test_ints_past_the_largest_double_are_parameter_errors():
+    # they widen to inf, which is not finite; float() used to raise a raw OverflowError
+    for call in (lambda: gamma(10**400), lambda: normalization_constant(3, 10**400, 1.0)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            call()
+
+
 def test_scalar_overflow_is_an_evaluation_error():
     # a float product overflows to inf without a warning; the scalar path names it
     with pytest.raises(EvaluationError, match="overflows a double"):
         hyp1f1_poly(50, 11.0, -5e7)
     with pytest.raises(EvaluationError, match="overflows a double"):
         laguerre(50, 10.0, -4e7)  # the polynomial is finite, its binomial multiple is not
+    # math.gamma raised a raw OverflowError past x ~ 171.6, float32 widened or not
+    for x in (172.0, 1e308, np.float32(1e38)):
+        with pytest.raises(EvaluationError, match="overflows a double") as err:
+            gamma(x)
+        assert err.value.term_trace == [("x", float(x))]
+    # the bracket's denominator overflows to inf: it returned N = 0.0
+    with pytest.raises(EvaluationError, match="bracket under the square root is 0.0"):
+        normalization_constant(1, 60.0, 1.0)
 
 
 def test_overlap_quad_gamma_identities():

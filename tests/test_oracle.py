@@ -52,6 +52,13 @@ def test_angular_grid_validation():
         angular_fd_eigs(0.0, 0.0, 32)
     with pytest.raises(ParameterError):
         angular_fd_eigs(0.0, 0.0, 64, method="spectral?")
+    # refused before the N x N complex matrix is built: N = 20,000 would ask for 6.4 GB
+    with pytest.raises(ParameterError, match="N = 1025 is above 1024$"):
+        angular_fd_eigs(0.0, 0.1, 1025)
+    # nan and an overflowing operator used to return nan eigenvalues or warn
+    for delta, p in ((math.nan, 0.1), (math.inf, 0.1), (1e308, 0.1), (0.1, 10**400)):
+        with pytest.raises(ParameterError):
+            angular_fd_eigs(delta, p, 64)
 
 
 def test_fd_method_second_order():
@@ -127,6 +134,10 @@ def test_radial_requires_subcritical():
     # more levels than the coarsest grid's 1000 sites
     with pytest.raises(ParameterError, match="coarsest grid"):
         radial_fd_eigs(0.0, params, 1001)
+    # nan reached scipy's own ValueError; -1e308 overflowed the diagonal
+    for e_theta in (math.nan, -1e308, 10**400):
+        with pytest.raises(ParameterError):
+            radial_fd_eigs(e_theta, params, 1)
 
 
 def test_convergence_report_clean_order2():

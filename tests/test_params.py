@@ -77,9 +77,16 @@ def test_params_validation():
         kw[field] = bad
         with pytest.raises(ParameterError, match=field.replace("lam", "lambda")):
             MaterialSpec("X", **kw)
-    for D_e, r_e in ((0.0, 3.0), (0.4, -1.0)):
+    for D_e, r_e in ((0.0, 3.0), (0.4, -1.0), (10**400, 1.0), (0.4, math.nan)):
         with pytest.raises(ParameterError):
             PhoParams(D_e=D_e, r_e=r_e)
+    # Python ints past the largest double and nan used to be accepted
+    for m_star, eps_r in ((math.nan, 12.0), (10**400, 1.0)):
+        with pytest.raises(ParameterError, match="m_star"):
+            MaterialSpec("x", m_star, eps_r)
+    # r_e^2 underflows to 0: A = D_e / r_e^2 divided by zero
+    with pytest.raises(ParameterError, match="r_e"):
+        from_pho(PhoParams(0.4, 1e-200), 1.0)
 
 
 def test_pho_mapping_is_tan_inkson():

@@ -393,6 +393,11 @@ def test_radial_exponent_harmonic_case():
     eta, alpha = radial_exponent(e_theta, params)
     # 1 - 4 eta = c + 8 mu B = 4 m^2 here
     assert alpha == pytest.approx((1 + 2.0) / 4.0, abs=1e-14)
+    # 1 - 4 eta overflows to -inf (supercritical) or +inf (alpha); an int past a double is inf
+    for e_theta, error in ((1e308, SupercriticalError), (-1.7e308, ParameterError),
+                           (10**400, ParameterError), (math.nan, ParameterError)):
+        with pytest.raises(error):
+            radial_exponent(e_theta, params)
 
 
 _STATE_LABELS = [(n_r, m, parity, delta) for n_r in (0, 2) for m in range(7)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qring import (
     Branch,
+    EvaluationError,
     IntegrationError,
     ParameterError,
     PhoParams,
@@ -243,9 +244,12 @@ def test_psi_is_single_valued_and_flux_modulated():
 def test_psi_rejects_negative_radius():
     spec = _spec()
     for r, theta in ((-0.5, 0.0), (math.nan, 0.3), (math.inf, 0.3), (spec.a, math.nan),
-                     (np.array([0.0, math.nan]), 0.3)):
+                     (np.array([0.0, math.nan]), 0.3), (10**400, 0.0), (1.0, 10**400)):
         with pytest.raises(ParameterError):
             psi(spec, r, theta)
+    # r^2 / a^2 overflows: a numpy warning before, a named error now
+    with pytest.raises(EvaluationError, match="overflows"):
+        psi(spec, 1e308, 0.0)
 
 
 def test_radial_profile_grid_validation():
@@ -256,6 +260,8 @@ def test_radial_profile_grid_validation():
         radial_profile(spec, np.array([-1.0, 0.5]))
     with pytest.raises(ParameterError):
         radial_profile(spec, np.array([0.0, math.nan]))
+    with pytest.raises(ParameterError):
+        radial_profile(spec, [0, 10**400])
 
 
 def test_pho_wave_matches_direct_params():

@@ -26,12 +26,18 @@ to 1e4, three rows out of the domain, and six orders off their lattice (ce
 -1 and 2.5, se 0, at q = 0 and 0.2). After them come the wavefunction rows:
 for each state of the wavefunctions workload (seeds 1-3) and of the
 wavefunction argvs below, the closed-form N, ``normalize_numeric`` and the
-radial node count, or the error text.
+radial node count, or the error text. Last comes the boundary corpus: each
+public call that reads a real argument, with that argument set to each of
+the special numbers of the library contract property (Python ints past the
+largest double, bools, signed zeros, subnormals, infinities, nan) and the
+others valid, as the repr of the result or "ErrorType: message", with
+warnings raised as errors.
 
 Every difference in exit code, stdout or stderr is reported per argv, and
 every kernel row whose value or error text differs is printed; rows that
 differ only in their window's bits are counted. Every wavefunction row that
-moved is printed with the distance of each number in units in the last place.
+moved is printed with the distance of each number in units in the last place,
+and every boundary row that changed is printed from both revisions.
 Exits 0 when nothing differs, 1 otherwise. The argvs and the wavefunction
 states come from this checkout's ``perfbench/workloads.py``, which is only
 read.
@@ -69,6 +75,10 @@ EXTRA = [
     ("energies", "--m", "3,9", "--parity", "ce,se", "--delta", "0.3", "--D", "50"),
     ("transitions", "--m-hi", "7", "--m-lo", "6", "--parity", "ce,se", "--D-range", "0:100:5"),
 ]
+# the special numbers of tests/test_api_fuzz.py, which the boundary corpus feeds to each call
+SPECIAL = [0, 1, 3, 4, 5, -1, 2**16, 2**16 + 1, 2**63, 2**64, 10**200, 10**400, -10**400,
+           True, False, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.21, 1e4, 2e4, 1e308,
+           float("inf"), float("-inf"), float("nan")]
 # argvs past the input bounds; a revision without the bounds runs them for seconds
 BOUNDS = [
     ("wavefunction", "--nr", "1000001", "--points", "2"),
@@ -114,9 +124,13 @@ def run(tree, cwd, args):
 def library():
     """Print the kernel lines described in the module docstring (run against one copy)."""
     import inspect
+    import warnings
 
     import numpy as np
-    from qring import QuantumState, from_material, get_material, mathieu, wavefun
+    from qring import (MaterialSpec, PhoParams, QuantumState, SweepConfig, angular_fd_eigs,
+                       convergence_report, eval_angular, from_material, from_pho, gamma,
+                       get_material, is_tan_inkson, laguerre, mathieu, normalization_constant,
+                       psi, radial_exponent, radial_fd_eigs, radial_profile, sweep, wavefun)
     from qring.cli import _build_parser, _materials_of
     from qring.errors import QringError
     from qring.mathieu import Branch
@@ -170,6 +184,51 @@ def library():
             args = _build_parser().parse_args(list(argv))
             wave(" ".join(argv), QuantumState(args.nr[0], args.m[0], args.parity[0], args.delta),
                  from_material(_materials_of(args)[0], args.D, args.delta))
+
+    gaas = get_material("GaAs")
+    params = from_material(gaas, 1.0)
+    spec = wavefun.make_wave(QuantumState(1, 1, Branch.CE), params)
+    calls = {  # one argument of each call varies, the others are valid
+        "gamma": lambda v: gamma(v),
+        "laguerre k": lambda v: laguerre(2, v, 0.5),
+        "normalization_constant alpha": lambda v: normalization_constant(1, v, 1.0),
+        "normalization_constant a": lambda v: normalization_constant(1, 1.0, v),
+        "MaterialSpec m_star": lambda v: from_material(MaterialSpec("x", v, 12.65), 1.0).A,
+        "MaterialSpec eps_r": lambda v: from_material(MaterialSpec("x", 0.067, v), 1.0).D_theta,
+        "MaterialSpec lam": lambda v: from_material(MaterialSpec("x", 0.067, 12.65, v), 1.0).B,
+        "MaterialSpec hbar_omega0": lambda v: from_material(
+            MaterialSpec("x", 0.067, 12.65, 2.0, v), 1.0).A,
+        "PhoParams D_e": lambda v: from_pho(PhoParams(v, 3.0), 1.0).A,
+        "PhoParams r_e": lambda v: from_pho(PhoParams(0.4, v), 1.0).A,
+        "from_material D": lambda v: from_material(gaas, v).D_theta,
+        "QuantumState delta": lambda v: QuantumState(0, 1, Branch.CE, v).delta,
+        "SweepConfig d_values": lambda v: [row.E for row in sweep(SweepConfig(
+            (gaas,), (QuantumState(0, 1, Branch.CE),), (v,)))],
+        "radial_exponent": lambda v: radial_exponent(v, params),
+        "eval_angular theta": lambda v: eval_angular(v, spec.coeffs),
+        "eval_angular delta": lambda v: eval_angular(0.3, spec.coeffs, v),
+        "psi r": lambda v: psi(spec, v, 0.3),
+        "psi theta": lambda v: psi(spec, 1.0, v),
+        "radial_profile": lambda v: radial_profile(spec, [0.0, v]).rows,
+        "angular_fd_eigs delta": lambda v: angular_fd_eigs(v, 0.1, 64).eigenvalues[:2].tolist(),
+        "angular_fd_eigs p": lambda v: angular_fd_eigs(0.1, v, 64).eigenvalues[:2].tolist(),
+        "angular_fd_eigs N": lambda v: angular_fd_eigs(0.1, 0.1, v).eigenvalues[:2].tolist(),
+        "radial_fd_eigs": lambda v: radial_fd_eigs(v, params, 3).eigenvalues.tolist(),
+        "is_tan_inkson rtol": lambda v: is_tan_inkson(params, v),
+        "convergence_report": lambda v: convergence_report([1.0, 1.5, v]).extrapolated,
+    }
+    for label, call in calls.items():
+        for v in SPECIAL:
+            # a grid of 64 up to 2**62 points would be allocated where N is not yet bounded
+            if label.endswith(" N") and 64 <= v < 2**62:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out = repr(call(v))
+                except Exception as e:  # noqa: BLE001 -- every outcome is printed, raw ones too
+                    out = f"{type(e).__name__}: {e}"
+            print(f"bound {label} {v!r}\t{out}")
 
 
 def ulps(x, y):
@@ -238,10 +297,11 @@ def main():
             print(f"library script failed: exit {a[0]} / {b[0]}")
             print(a[2].decode(errors="replace"), b[2].decode(errors="replace"))
             return 1
-        lines, waves = ([], []), ([], [])
-        for out, kernel, wave in zip((a[1], b[1]), lines, waves):
+        lines, waves, bounds = ([], []), ([], []), ([], [])
+        for out, kernel, wave, bound in zip((a[1], b[1]), lines, waves, bounds):
             for line in out.decode().splitlines():
-                (wave if line.startswith("wave ") else kernel).append(line)
+                (wave if line.startswith("wave ") else bound if line.startswith("bound ")
+                 else kernel).append(line)
         pairs = [(x, y) for x, y in zip(*lines) if x != y]
         moved = [(x, y) for x, y in pairs if x.rpartition("\t")[0] != y.rpartition("\t")[0]]
         for x, y in moved:  # a value or an error text
@@ -253,8 +313,14 @@ def main():
         wave_moved = wave_report(*waves)
         print(f"{len(waves[0]) - wave_moved} of {len(waves[0])} wavefunction rows identical"
               + ("" if len(waves[0]) == len(waves[1]) else f"; {len(waves[1])} rows in B"))
-        return int(bool(differ or pairs or wave_moved or len(lines[0]) != len(lines[1])
-                        or len(waves[0]) != len(waves[1])))
+        changed = [(x, y) for x, y in zip(*bounds) if x != y]
+        for x, y in changed:
+            label, old = x[len("bound "):].split("\t")
+            print(f"BOUND {label}: {old}\n    -> {y.split(chr(9))[1]}")
+        print(f"{len(bounds[0]) - len(changed)} of {len(bounds[0])} boundary rows identical"
+              + ("" if len(bounds[0]) == len(bounds[1]) else f"; {len(bounds[1])} rows in B"))
+        return int(bool(differ or pairs or wave_moved or changed or len(lines[0]) != len(lines[1])
+                        or len(waves[0]) != len(waves[1]) or len(bounds[0]) != len(bounds[1])))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
