@@ -90,11 +90,23 @@ def _widen(x):
 def _real(name, value, low=-math.inf, strict=False):
     """value through _widen, a float if 0-d; ParameterError naming the first entry, as the
     caller gave it, that is not finite or is below low (or at low, when strict)."""
-    x = _widen(value)
-    v = x if x.ndim else float(x)  # a float compares without numpy's per-call cost
+    x = value if type(value) is float else _widen(value)  # a Python float is already a double
+    array = type(x) is not float and x.ndim > 0
+    v = x if array else float(x)  # a float compares without numpy's per-call cost
     ok = (abs(v) < math.inf) & ((v > low) if strict else (v >= low))
-    if not (ok.all() if x.ndim else ok):
-        given = np.ravel(np.array(value, dtype=object))[np.argmin(ok)] if x.ndim else value
+    if not (ok.all() if array else ok):
+        given = np.ravel(np.array(value, dtype=object))[np.argmin(ok)] if array else value
         rule = f" and {'>' if strict else '>='} {low}" if low > -math.inf else ""
         raise ParameterError(f"{name} must be finite{rule}, got {given}")
     return v
+
+
+def _fields(obj, **rules):
+    """Store each named field of the frozen dataclass obj as read by _count (rule int) or by
+    _real with the rule's (low, strict, shown name), all optional: A=(0, True), C=()."""
+    def real(field, low=-math.inf, strict=False, shown=None):
+        return _real(shown or field, getattr(obj, field), low, strict)
+
+    for field, rule in rules.items():
+        value = _count(field, getattr(obj, field)) if rule is int else real(field, *rule)
+        object.__setattr__(obj, field, value)

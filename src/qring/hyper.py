@@ -68,12 +68,14 @@ def hyp3f2_unit(a1: int, a2: float, a3: float, b1: float, b2: float) -> float:
 
     Raises PoleError if a denominator Pochhammer vanishes before the series
     has terminated (either via a1 or via an earlier-vanishing numerator).
+    A sum that overflows a double raises EvaluationError; -a1 is at most _MAX_POINTS.
     """
-    n = _count("-a1", -a1)
+    n = _count("-a1", -a1, _MAX_POINTS)
+    a2, a3, b1, b2 = map(_real, ("a2", "a3", "b1", "b2"), (a2, a3, b1, b2))
     acc = 1.0
     term = 1.0
     for k in range(n):
-        num = (a1 + k) * (a2 + k) * (a3 + k)
+        num = (k - n) * (a2 + k) * (a3 + k)
         if num == 0.0:
             break  # series terminated early through a numerator factor
         den = (b1 + k) * (b2 + k) * (k + 1)
@@ -84,6 +86,8 @@ def hyp3f2_unit(a1: int, a2: float, a3: float, b1: float, b2: float) -> float:
             )
         term *= num / den
         acc += term
+    if not math.isfinite(acc):  # float arithmetic overflows to inf or nan without raising
+        raise EvaluationError("3F2 sum overflows a double", term_trace=[("sum", acc)])
     return acc
 
 
@@ -142,11 +146,11 @@ def gauss_laguerre(f, n: int, alpha: float) -> float:
     """
     _count("points", n, 1000)
     k = np.arange(n + 1, dtype=float)
-    diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))  # off[0] = 0
-    jacobi = np.diag(diag)  # symmetric tridiagonal; the n-point rule's is its leading block
-    jacobi.flat[n + 1::n + 2] = off[1:]  # the subdiagonal, all that eigvalsh reads of it
-    values, d, e = [], diag.tolist(), off.tolist()  # floats index faster than numpy scalars
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised by name below
+        diag, off = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))  # off[0] = 0
+        jacobi = np.diag(diag)  # symmetric tridiagonal; the n-point rule's is its leading block
+        jacobi.flat[n + 1::n + 2] = off[1:]  # the subdiagonal, all that eigvalsh reads of it
+        values, d, e = [], diag.tolist(), off.tolist()  # floats index faster than numpy scalars
         for size in (n, n + 1):
             nodes = np.linalg.eigvalsh(jacobi[:size, :size])
             prev, cur, total = 0.0, 1.0, np.ones(size)

@@ -54,7 +54,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, _count, _real, _widen
+from .errors import (ConvergenceError, EvaluationError, ParameterError, _count, _fields, _real,
+                     _widen)
 
 _HALF_START = 5  # first window half-width on the cosine and sine lattices, in sites
 _HALF_START_FLOQUET = 10  # first window half-width on the Floquet lattice
@@ -107,6 +108,11 @@ class FourierCoeffs:
     coeffs: np.ndarray
     truncation: int
     value: float
+
+    def __post_init__(self):
+        _fields(self, order=int, q=(), coeffs=(), truncation=int, value=())
+        if np.ndim(self.coeffs) != 1 or not self.coeffs.size:  # a trig sum needs a vector
+            raise ParameterError(f"coeffs must be a non-empty vector, got {self.coeffs!r}")
 
 
 def _diagonal(branch: Optional[Branch], order, k):
@@ -364,7 +370,7 @@ def char_value(m: int, branch: Branch, q: float) -> MathieuChar:
     m = _count("m", m)
     values, errors, _ = char_values(branch, m, q)
     _raise_first(errors)
-    return MathieuChar(2.0 * m, q, branch, float(values[0]))
+    return MathieuChar(2.0 * m, float(q), branch, float(values[0]))  # q as solved, a double
 
 
 def char_value_fractional(nu: float, q: float) -> MathieuChar:
@@ -377,7 +383,7 @@ def char_value_fractional(nu: float, q: float) -> MathieuChar:
     """
     values, errors, _ = char_values(None, nu, q)
     _raise_first(errors)
-    return MathieuChar(nu, q, None, float(values[0]))
+    return MathieuChar(float(nu), float(q), None, float(values[0]))
 
 
 # --- small-q polynomial form, valid for m > 3 ---
@@ -469,9 +475,11 @@ def eval_angular(theta, coeffs: FourierCoeffs, delta: float = 0.0):
     One Horner sum s = sum_k c_k e^{ik theta}: CE is Re s, SE Im(e^{i theta} s).
     """
     th, delta = _real("theta", theta), _real("delta", delta)
-    with np.errstate(over="ignore"):  # a phase past the largest double is refused by name
+    with np.errstate(over="ignore", invalid="ignore"):  # past the largest double: named below
         phase = _real("delta * theta", delta * th)
-    z = np.exp(1j * th)
-    s = np.polynomial.polynomial.polyval(z, coeffs.coeffs)  # sum_k c_k z^k by Horner
-    out = (s.real if coeffs.branch is Branch.CE else (z * s).imag) * np.exp(1j * phase)
+        z = np.exp(1j * th)
+        s = np.polynomial.polynomial.polyval(z, coeffs.coeffs)  # sum_k c_k z^k by Horner
+        out = (s.real if coeffs.branch is Branch.CE else (z * s).imag) * np.exp(1j * phase)
+    if not np.isfinite(out).all():
+        raise EvaluationError("angular factor overflows a double: coefficients far from unit norm")
     return out if np.ndim(th) else complex(out)

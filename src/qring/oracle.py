@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError, SupercriticalError, _count, _real
+from .errors import (ConvergenceError, NumericsError, ParameterError, SupercriticalError, _count,
+                     _real)
 from .params import SystemParams
 
 
@@ -104,8 +105,11 @@ def radial_fd_eigs(E_theta: float, params: SystemParams, n_max: int) -> FdSpectr
             d = _real(f"E_theta = {E_theta}: the radial operator",
                       2.0 / (h * h) - eta / r ** 2 + 2.0 * params.mu * params.A * r ** 2)
         e = np.full(N - 1, -1.0 / (h * h))
-        vals.append(eigh_tridiagonal(d, e, eigvals_only=N < levels[-1], select="i",
-                                     select_range=(0, n_max - 1)))
+        try:
+            vals.append(eigh_tridiagonal(d, e, eigvals_only=N < levels[-1], select="i",
+                                         select_range=(0, n_max - 1)))
+        except np.linalg.LinAlgError as exc:  # LAPACK's bisection, at extreme scales
+            raise ConvergenceError(f"radial grid of {N} points, step {h}: {exc}") from None
     v1, v2, (v3, v) = vals
     reports = [convergence_report(level) for level in zip(v1, v2, v3)]
     off = next((i for i, rep in enumerate(reports) if not 1.5 <= rep.order <= 2.5), n_max)

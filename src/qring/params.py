@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, _real, _widen
+from .errors import ParameterError, _fields, _real
 
 # CODATA 2018 Hartree energy in eV
 HARTREE_EV = 27.211386245988
@@ -39,16 +39,8 @@ class SystemParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        vals = _widen((self.A, self.B, self.C, self.D_theta, self.mu, self.delta))
-        if not all(map(math.isfinite, vals)):
-            raise ParameterError("SystemParams fields must be finite")
-        object.__setattr__(self, "delta", float(vals[-1]))  # a float, whatever number type came
-        if self.A <= 0:
-            raise ParameterError(f"A must be > 0 for bound states, got {self.A}")
-        if self.B < 0:
-            raise ParameterError(f"B must be >= 0, got {self.B}")
-        if self.mu <= 0:
-            raise ParameterError(f"mu must be > 0, got {self.mu}")
+        _fields(self, A=(0, True), B=(0,), C=(), D_theta=(), mu=(0, True), delta=())
+        _real("2 mu A", 2.0 * self.mu * self.A, 0, strict=True)  # a_length is finite and > 0
 
     @property
     def a_length(self) -> float:
@@ -72,9 +64,8 @@ class MaterialSpec:
     hbar_omega0: float = 1.0
 
     def __post_init__(self):
-        for field, name, strict in (("m_star", "m_star", True), ("eps_r", "eps_r", True),
-                                    ("lam", "lambda", False), ("hbar_omega0", "hbar_omega0", True)):
-            object.__setattr__(self, field, _real(name, getattr(self, field), 0, strict))
+        _fields(self, m_star=(0, True), eps_r=(0, True), lam=(0, False, "lambda"),
+                hbar_omega0=(0, True))
 
 
 @dataclass(frozen=True)
@@ -85,8 +76,7 @@ class PhoParams:
     r_e: float
 
     def __post_init__(self):
-        for name in ("D_e", "r_e"):
-            object.__setattr__(self, name, _real(name, getattr(self, name), 0, strict=True))
+        _fields(self, D_e=(0, True), r_e=(0, True))
 
 
 def from_material(mat: MaterialSpec, D: float, delta: float = 0.0) -> SystemParams:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import mathieu
-from .errors import EvaluationError, ParameterError, SupercriticalError, _count, _real, _widen
+from .errors import EvaluationError, ParameterError, SupercriticalError, _fields, _real, _widen
 from .mathieu import Branch, _fail, _raise_first
 from .params import MaterialSpec, SystemParams, ev_to_hartree, from_material, hartree_to_ev
 
@@ -38,11 +38,10 @@ class QuantumState:
     delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_r", "m"):  # kept as ints, and delta as a float, whatever number type came
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        _fields(self, n_r=int, m=int)
         if self.parity is Branch.SE and self.m == 0:
             raise ParameterError("m = 0 states exist only for the ce branch")
-        object.__setattr__(self, "delta", _real("delta", self.delta))
+        _fields(self, delta=())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mathieu, spectrum
-from .errors import _MAX_POINTS, EvaluationError, ParameterError, _count, _real
+from .errors import _MAX_POINTS, EvaluationError, ParameterError, _count, _fields, _real
 from .hyper import gauss_laguerre, hyp1f1_poly
 from .params import SystemParams
 from .spectrum import QuantumState
@@ -38,6 +38,10 @@ class WaveSpec:
     alpha: float
     N: float
     coeffs: mathieu.FourierCoeffs
+
+    def __post_init__(self):  # alpha >= 1/4, the regular exponent's floor, keeps r = 0 regular
+        _fields(self, a=(0, True), alpha=(0.25,), N=(0, True))
+        _real("beta = 2 alpha + 1/2", self.beta)
 
     @property
     def beta(self) -> float:
@@ -89,8 +93,11 @@ def _radial_factor(spec: WaveSpec, r):
 
 def psi(spec: WaveSpec, r, theta):
     """psi(r, theta), complex. Scalar or array arguments (broadcastable)."""
-    out = (_radial_factor(spec, _real("r", r, 0))
-           * mathieu.eval_angular(theta, spec.coeffs, spec.params.delta))
+    with np.errstate(over="ignore"):  # coefficients far from unit norm can overflow: named below
+        out = (_radial_factor(spec, _real("r", r, 0))
+               * mathieu.eval_angular(theta, spec.coeffs, spec.params.delta))
+    if not np.isfinite(out).all():
+        raise EvaluationError(f"psi overflows for {spec.state}", term_trace=[("N", spec.N)])
     return complex(out) if np.isscalar(r) and np.isscalar(theta) else out
 
 
@@ -101,16 +108,24 @@ def normalize_numeric(spec: WaveSpec) -> float:
     exact Gauss-Laguerre rule for 1F1(-n, beta, rho)^2 against the weight
     rho^(beta-1) e^-rho / Gamma(beta); angular part by the M-point rectangle
     rule, exact for e^(ij theta), |j| < M (the M-th roots of unity sum to 0).
-    Theta's top frequency t is K - 1 (CE) or K (SE), K = coeffs.truncation, so
+    Theta's top frequency t is K - 1 (CE) or K (SE), K = coeffs.coeffs.size, so
     |Theta|^2 has |j| <= 2t: M = 2t + 1 is exact, and one point fewer aliases.
     """
     n, beta = spec.state.n_r, spec.beta
     radial = gauss_laguerre(lambda rho: hyp1f1_poly(n, beta, rho) ** 2, n + 1, beta - 1.0)
-    points = 2 * (spec.coeffs.truncation - (spec.coeffs.branch is mathieu.Branch.CE)) + 1
+    points = 2 * (spec.coeffs.coeffs.size - (spec.coeffs.branch is mathieu.Branch.CE)) + 1
     step = 2.0 * math.pi / points
     tvals = mathieu.eval_angular(step * np.arange(points), spec.coeffs, spec.params.delta)
-    angular = float(np.sum(np.abs(tvals) ** 2) * step)
-    return math.sqrt(2.0 / (angular * spec.a * radial)) * math.exp(-0.5 * math.lgamma(beta))
+    with np.errstate(over="ignore"):  # an overflow is named below
+        angular = float(np.sum(np.abs(tvals) ** 2) * step)
+    try:  # float division by a product that underflowed to 0 raises, where numpy would warn
+        N = math.sqrt(2.0 / (angular * spec.a * radial)) * math.exp(-0.5 * math.lgamma(beta))
+    except ZeroDivisionError:
+        N = math.nan
+    if not 0.0 < N < math.inf:
+        raise EvaluationError(f"quadrature normalization {N} for {spec.state}", term_trace=[
+            ("angular", angular), ("radial", radial), ("a", spec.a), ("beta", beta)])
+    return N
 
 
 def renormalized(spec: WaveSpec) -> WaveSpec:

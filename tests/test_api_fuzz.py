@@ -1,6 +1,7 @@
 """Library contract under adversarial numbers.
 
-Every public call that reads a number, fed Python ints up to 10**400, numpy
+Every public call that reads a number, and every number field of the value
+objects that public calls consume, fed Python ints up to 10**400, numpy
 int64 and float32 scalars, bools, signed zeros, subnormals, infinities and nan,
 must return finite numbers or raise a QringError, with warnings as errors,
 within a fixed wall-time budget; the oracles run on fixed small grids. The
@@ -10,6 +11,7 @@ then picks them.
 import math
 import signal
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +19,13 @@ from hypothesis import core, given, settings
 from hypothesis import strategies as st
 
 from qring import (Branch, MaterialSpec, PhoParams, QuantumState, QringError, SweepConfig,
-                   ab_correction, angular_fd_eigs, char_value, char_value_fractional,
-                   char_value_series, convergence_report, eval_angular, fourier_coeffs,
-                   from_material, from_pho, gamma, get_material, hyp1f1_poly, is_tan_inkson,
-                   laguerre, make_wave, normalization_constant, psi, qr_energy, radial_exponent,
-                   radial_fd_eigs, radial_profile, series_p8_estimate, sweep)
+                   SystemParams, ab_correction, angular_eigenvalue, angular_fd_eigs, char_value,
+                   char_value_fractional, char_value_series, convergence_report, correction,
+                   count_radial_nodes, energy, eval_angular, fourier_coeffs, from_material,
+                   from_pho, gamma, get_material, hyp1f1_poly, is_tan_inkson, laguerre, make_wave,
+                   normalization_constant, normalize_numeric, psi, qr_energy, radial_exponent,
+                   radial_fd_eigs, radial_profile, series_p8_estimate, sweep, transition)
+from qring.hyper import hyp3f2_unit
 
 _BUDGET_S = 5.0  # per call; an order near 2**16 at q = 1e4 takes 0.34 s (x86-64, 2 cores)
 
@@ -39,6 +43,14 @@ _NUMBERS = st.one_of(
 _GAAS = get_material("GaAs")
 _PARAMS = from_material(_GAAS, 1.0)
 _SPEC = {b: make_wave(QuantumState(1, 1, b), _PARAMS) for b in Branch}
+
+
+def _wave(b, a=None, alpha=None, N=None, **coeffs):
+    """_SPEC[b] with the given WaveSpec and FourierCoeffs fields replaced, as a caller may."""
+    spec = _SPEC[b]
+    fields = {k: v for k, v in dict(a=a, alpha=alpha, N=N).items() if v is not None}
+    return replace(spec, coeffs=replace(spec.coeffs, **coeffs), **fields)
+
 
 # each public function with the arguments it draws from _NUMBERS, then any fixed ones
 _CALLS = {
@@ -72,6 +84,30 @@ _CALLS = {
     "angular_fd_eigs": (lambda delta, p, b: angular_fd_eigs(delta, p, 64).eigenvalues, 2),
     "radial_fd_eigs": (lambda e_theta, b: radial_fd_eigs(e_theta, _PARAMS, 3).eigenvalues, 1),
     "is_tan_inkson": (lambda rtol, b: is_tan_inkson(_PARAMS, rtol), 1),
+    # the fields of the value objects that public calls consume
+    "SystemParams energy": (lambda A, B, C, mu, b: energy(
+        QuantumState(0, 1, b), SystemParams(A, B, C, 0.01, mu)).E, 4),
+    "SystemParams angular_eigenvalue": (lambda B, D_theta, mu, delta, b: angular_eigenvalue(
+        QuantumState(0, 1, b, delta), SystemParams(0.02, B, 0.0, D_theta, mu, delta))[:2], 4),
+    "SystemParams make_wave": (lambda A, D_theta, mu, delta, b: make_wave(
+        QuantumState(0, 1, b, delta), SystemParams(A, 0.3, 0.0, D_theta, mu, delta)).N, 4),
+    "SystemParams radial_fd_eigs": (lambda A, B, mu, delta, b: radial_fd_eigs(
+        -0.5, SystemParams(A, B, 0.0, 0.0, mu, delta), 3).eigenvalues, 4),
+    "WaveSpec psi": (lambda a, alpha, N, r, b: psi(_wave(b, a, alpha, N), r, 0.3), 4),
+    "WaveSpec normalize_numeric": (lambda a, alpha, N, b: normalize_numeric(
+        _wave(b, a, alpha, N)), 3),
+    "WaveSpec radial_profile": (lambda a, alpha, N, r, b: radial_profile(
+        _wave(b, a, alpha, N), [0.0, r]).rows, 4),
+    "WaveSpec count_radial_nodes": (lambda a, alpha, N, b: count_radial_nodes(
+        _wave(b, a, alpha, N)), 3),
+    "FourierCoeffs eval_angular": (lambda order, q, c0, truncation, b: eval_angular(
+        0.3, _wave(b, order=order, q=q, coeffs=[c0, 0.5], truncation=truncation).coeffs), 4),
+    "FourierCoeffs normalize_numeric": (lambda c0, c1, q, value, b: normalize_numeric(
+        _wave(b, coeffs=[c0, c1], q=q, value=value)), 4),
+    "transition": (lambda n_r, m_hi, m_lo, D, b: transition(
+        QuantumState(n_r, m_hi, b), QuantumState(n_r, m_lo, b), _GAAS, D), 4),
+    "correction": (lambda n_r, m, D, b: correction(QuantumState(n_r, m, b), _GAAS, D), 3),
+    "hyp3f2_unit": (lambda a1, a2, b1, b2, b: hyp3f2_unit(a1, a2, 1.5, b1, b2), 4),
     "convergence_report": (lambda v0, v1, v2, b: convergence_report([v0, v1, v2]).extrapolated,
                            3),
 }

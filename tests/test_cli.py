@@ -475,17 +475,17 @@ def test_material_failure_is_a_warning_on_every_row():
     # hbar_omega0 = 1e300 overflows A, so the material fails before any solve
     code, out, err = _run(["energies", "--hbar-omega0", "1e300", "--m", "0,1"])
     assert code == 0 and err.count("warning:") == 2
-    assert err.count("SystemParams fields must be finite") == 2
+    assert err.count("A must be finite and > 0, got inf") == 2
     assert [row[6:] for row in csv.reader(io.StringIO(out))][1:] == [[""] * 6] * 2
     code, out, err = _run(["corrections", "--hbar-omega0", "1e300", "--D-range", "0:1:0.5"])
-    assert code == 0 and err.count("SystemParams fields must be finite") == 3
+    assert code == 0 and err.count("A must be finite and > 0, got inf") == 3
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert [row[1] for row in rows] == ["0", "0.5", "1"]
     assert all(row[2] == "" and row[6:] == [""] * 3 for row in rows)
     # transitions and ab-sweep raise a row's error
     for command in ("transitions", "ab-sweep"):
         code, out, err = _run([command, "--hbar-omega0", "1e300"])
-        assert code == 3 and out == "" and "SystemParams fields must be finite" in err
+        assert code == 3 and out == "" and "A must be finite and > 0, got inf" in err
 
 
 def test_repeated_materials_and_states_are_solved_once(energies_calls):

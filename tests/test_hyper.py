@@ -85,6 +85,8 @@ def test_hyp1f1_rejects_polynomial_breakdown():
 
 @pytest.mark.parametrize("function,args", [
     (hyp3f2_unit, (math.nan, 1.0, 1.0, 1.0, 1.0)), (hyp3f2_unit, (-math.inf, 1.0, 1.0, 1.0, 1.0)),
+    (hyp3f2_unit, (-3, 1.0, math.nan, 1.5, 2.5)),
+    (hyp3f2_unit, (-3, 1.0, 1.0, math.inf, 2.5)), (hyp3f2_unit, (-3, 1.0, 1.0, 1.5, -math.inf)),
     (laguerre, (2, math.nan, 1.0)), (laguerre, (2, math.inf, 1.0)),
     (hyp1f1_poly, (2, math.nan, 1.0)), (hyp1f1_poly, (2, math.inf, 1.0)),
     (hyp1f1_poly, (2, -math.inf, 1.0)),
@@ -141,7 +143,8 @@ def test_gauss_laguerre_names_an_overflowing_integrand():
 def test_recurrence_and_rule_sizes_are_refused_before_any_work():
     # one recurrence step per degree: 2**63 steps used not to return
     start = time.perf_counter()
-    for call in (lambda: hyp1f1_poly(2**63, 0.5, 0.0), lambda: laguerre(10**7, 0.5, 0.3)):
+    for call in (lambda: hyp1f1_poly(2**63, 0.5, 0.0), lambda: laguerre(10**7, 0.5, 0.3),
+                 lambda: hyp3f2_unit(-2**63, 1.0, 1.0, 1.5, 2.5)):
         with pytest.raises(ParameterError, match="is above 1000000$"):
             call()
     assert time.perf_counter() - start < 1.0
@@ -152,7 +155,8 @@ def test_recurrence_and_rule_sizes_are_refused_before_any_work():
 
 def test_ints_past_the_largest_double_are_parameter_errors():
     # they widen to inf, which is not finite; float() used to raise a raw OverflowError
-    for call in (lambda: gamma(10**400), lambda: normalization_constant(3, 10**400, 1.0)):
+    for call in (lambda: gamma(10**400), lambda: normalization_constant(3, 10**400, 1.0),
+                 lambda: hyp3f2_unit(-3, 10**400, 1.0, 1.5, 2.5)):
         with pytest.raises(ParameterError, match="must be finite"):
             call()
 
@@ -168,6 +172,13 @@ def test_scalar_overflow_is_an_evaluation_error():
         with pytest.raises(EvaluationError, match="overflows a double") as err:
             gamma(x)
         assert err.value.term_trace == [("x", float(x))]
+    # the 3F2 sum overflowed to nan and was returned; a float32 a2 warned
+    for a2, b1 in ((1e308, 1.5), (1.0, 5e-324)):
+        with pytest.raises(EvaluationError, match="3F2 sum overflows a double") as err:
+            hyp3f2_unit(-3, a2, 1.0, b1, 2.5)
+        assert err.value.term_trace[-1][0] == "sum"
+    assert (hyp3f2_unit(-3, np.float32(3e38), 1.0, 1.5, 2.5)
+            == hyp3f2_unit(-3, float(np.float32(3e38)), 1.0, 1.5, 2.5))
     # the bracket's denominator overflows to inf: it returned N = 0.0
     with pytest.raises(EvaluationError, match="bracket under the square root is 0.0"):
         normalization_constant(1, 60.0, 1.0)

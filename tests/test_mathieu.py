@@ -750,6 +750,16 @@ def test_domain_rules_apply_in_order_within_one_batch(branch, rows):
             assert np.isnan(v)
 
 
+def test_results_echo_the_doubles_they_were_solved_with():
+    # a float32 q or nu was echoed as float32, though the solve widened it
+    q = np.float32(0.21)
+    for out in (char_value(3, Branch.CE, q), char_value_fractional(np.float32(1.5), q),
+                fourier_coeffs(3, Branch.SE, q)):
+        assert type(out.q) is float and out.q == float(q)
+    assert type(char_value_fractional(np.float32(1.5), q).order_nu) is float
+    assert char_value(3, Branch.CE, q).value == char_value(3, Branch.CE, float(q)).value
+
+
 @pytest.mark.parametrize("m", [2048, 5000])
 def test_orders_past_2047_match_the_series(m):
     for branch in (Branch.CE, Branch.SE):

@@ -5,6 +5,7 @@ import pytest
 
 from qring import (
     Branch,
+    ConvergenceError,
     ParameterError,
     QuantumState,
     angular_eigenvalue,
@@ -138,6 +139,15 @@ def test_radial_requires_subcritical():
     for e_theta in (math.nan, -1e308, 10**400):
         with pytest.raises(ParameterError):
             radial_fd_eigs(e_theta, params, 1)
+
+
+def test_radial_bisection_failure_names_the_grid():
+    # 2 mu A is finite, but LAPACK's bisection does not converge on a grid step of 8e-80
+    from qring import SystemParams
+
+    params = SystemParams(A=1e308, B=0.3, C=0.0, D_theta=0.01, mu=0.7)
+    with pytest.raises(ConvergenceError, match="^radial grid of 1000 points"):
+        radial_fd_eigs(-0.5, params, 2)
 
 
 def test_convergence_report_clean_order2():

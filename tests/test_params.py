@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
 from qring import (
     HARTREE_EV,
+    Branch,
     MaterialSpec,
     ParameterError,
     PhoParams,
+    QuantumState,
     SystemParams,
     builtin_materials,
+    energy,
     ev_to_hartree,
     from_material,
     from_pho,
@@ -87,6 +91,31 @@ def test_params_validation():
     # r_e^2 underflows to 0: A = D_e / r_e^2 divided by zero
     with pytest.raises(ParameterError, match="r_e"):
         from_pho(PhoParams(0.4, 1e-200), 1.0)
+
+
+def test_system_fields_are_read_as_doubles():
+    good = dict(A=0.5, B=1.0, C=0.0, D_theta=0.01, mu=1.0)
+    # each field widens, so a float32 or an int computes in double precision
+    for field, narrow in (("A", np.float32(0.5)), ("mu", np.float32(1.0)), ("B", 1),
+                          ("C", np.float32(0.25)), ("D_theta", np.float32(0.01))):
+        p = SystemParams(**dict(good, **{field: narrow}))
+        assert type(getattr(p, field)) is float and getattr(p, field) == float(narrow)
+    # a float32 mu computed a_length in single precision: the energy routes disagreed
+    E = energy(QuantumState(0, 1, Branch.CE), from_pho(PhoParams(0.4, 3.0), np.float32(1.0))).E
+    assert E == energy(QuantumState(0, 1, Branch.CE), from_pho(PhoParams(0.4, 3.0), 1.0)).E
+    # a float32 A near its largest value overflowed in a_length with a numpy warning
+    assert SystemParams(**dict(good, A=np.float32(3e38))).a_length > 0.0
+    # 2 mu A overflows, so a_length was 0.0, or underflows, so it was inf
+    for A, mu, shown in ((1e308, 2.0, "inf"), (1.0, 1e308, "inf"), (5e-324, 0.1, "0.0")):
+        with pytest.raises(ParameterError, match=f"^2 mu A must be finite and > 0, got {shown}$"):
+            SystemParams(**dict(good, A=A, mu=mu))
+    for field, bad, message in (("A", 0.0, "A must be finite and > 0, got 0.0"),
+                                ("B", -1, "B must be finite and >= 0, got -1"),
+                                ("mu", math.nan, "mu must be finite and > 0, got nan"),
+                                ("C", math.inf, "C must be finite, got inf"),
+                                ("delta", 10**400, f"delta must be finite, got {10**400}")):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SystemParams(**dict(good, **{field: bad}))
 
 
 def test_pho_mapping_is_tan_inkson():

@@ -196,10 +196,9 @@ def test_failing_material_is_validated_once(monkeypatch):
     monkeypatch.setattr(spectrum, "from_material", counted)
     state, bad = QuantumState(0, 1, Branch.CE), replace(GAAS, hbar_omega0=1e300)
     _, errors = qr_energies(state, bad, np.linspace(0.0, 10.0, 1001))
-    assert len(calls) == 1 and {str(e) for e in errors} == {"SystemParams fields must be finite"}
+    assert len(calls) == 1 and {str(e) for e in errors} == {"A must be finite and > 0, got inf"}
     _, errors = qr_energies(state, bad, [1.0, -1.0, 2.0])
-    assert len(calls) == 3 and [str(e).split()[0] for e in errors] == ["SystemParams", "dipole",
-                                                                        "SystemParams"]
+    assert len(calls) == 3 and [str(e).split()[0] for e in errors] == ["A", "dipole", "A"]
 
 
 def test_material_failure_columns_are_separate_arrays():

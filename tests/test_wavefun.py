@@ -252,6 +252,54 @@ def test_psi_rejects_negative_radius():
         psi(spec, 1e308, 0.0)
 
 
+def test_hand_built_wave_fields_are_read():
+    spec = _spec(n_r=1)
+    calls = (lambda s: psi(s, spec.a, 0.3), normalize_numeric,
+             lambda s: radial_profile(s, [0.0, spec.a]).rows, count_radial_nodes)
+    # a = 0 divided by zero in psi; a = -1, N = 0 reached numpy's ValueError; alpha = nan
+    # reached LinAlgError and 10**400 OverflowError; alpha = 1e308 makes beta inf
+    for field, bad in (("a", 0.0), ("a", -1.0), ("N", 0), ("alpha", math.nan),
+                       ("alpha", 10**400), ("alpha", 0.2), ("alpha", 1e308)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            replace(spec, **{field: bad})
+    # a nan coefficient came back as a nan psi, an inf one as a numpy warning
+    for coeffs in ([math.nan], [math.inf, 0.5], [], [[1.0]]):
+        with pytest.raises(ParameterError, match="coeffs must be"):
+            replace(spec.coeffs, coeffs=coeffs)
+    for field, bad in (("q", math.nan), ("value", math.inf), ("order", -1), ("truncation", 1.5)):
+        with pytest.raises(ParameterError):
+            replace(spec.coeffs, **{field: bad})
+    # the angular grid is sized from the coefficients: truncation = 1 gave a wrong N
+    short = replace(spec, coeffs=replace(spec.coeffs, truncation=1))
+    assert normalize_numeric(short) == normalize_numeric(spec)
+    narrow = replace(spec, a=np.float32(spec.a), alpha=np.float32(spec.alpha), N=spec.N)
+    assert type(narrow.a) is float and type(narrow.alpha) is float  # whatever number type came
+    for call in calls:
+        assert np.all(np.isfinite(call(narrow)))
+
+
+def test_normalization_overflow_is_an_evaluation_error():
+    # the final sqrt(2 / (angular a radial)) exp(-lgamma(beta) / 2) divided by zero
+    spec = _spec(n_r=1)
+    for bad in (replace(spec, a=5e-324), replace(spec, alpha=1e200),
+                replace(spec, coeffs=replace(spec.coeffs, coeffs=np.zeros(3)))):
+        with pytest.raises(EvaluationError, match="quadrature normalization") as err:
+            normalize_numeric(bad)
+        assert [label for label, _ in err.value.term_trace] == ["angular", "radial", "a", "beta"]
+    # k (k + alpha) of the Jacobi matrix overflowed with a numpy warning
+    with pytest.raises(IntegrationError, match="overflows a double"):
+        normalize_numeric(replace(spec, alpha=5e307))
+    # coefficients far from unit norm overflow the angular factor; numpy warned
+    huge = replace(spec, coeffs=replace(spec.coeffs, coeffs=np.full(2, 1e308)))
+    for call in (normalize_numeric, lambda s: psi(s, s.a, 0.3),
+                 lambda s: eval_angular(0.3, s.coeffs)):
+        with pytest.raises(EvaluationError, match="angular factor overflows"):
+            call(huge)
+    big = replace(spec, N=1e10, coeffs=replace(spec.coeffs, coeffs=np.full(2, 1e300)))
+    with pytest.raises(EvaluationError, match="psi overflows"):
+        psi(big, spec.a, 0.3)  # each factor is finite, their product is not
+
+
 def test_radial_profile_grid_validation():
     spec = _spec()
     with pytest.raises(ParameterError):

@@ -27,11 +27,13 @@ to 1e4, three rows out of the domain, and six orders off their lattice (ce
 for each state of the wavefunctions workload (seeds 1-3) and of the
 wavefunction argvs below, the closed-form N, ``normalize_numeric`` and the
 radial node count, or the error text. Last comes the boundary corpus: each
-public call that reads a real argument, with that argument set to each of
-the special numbers of the library contract property (Python ints past the
-largest double, bools, signed zeros, subnormals, infinities, nan) and the
-others valid, as the repr of the result or "ErrorType: message", with
-warnings raised as errors.
+public call that reads a real argument, and each number field of the value
+objects that public calls consume (``SystemParams``, ``WaveSpec``,
+``FourierCoeffs``) through the calls that read it, with that argument or
+field set to each of the special numbers of the library contract property
+(Python ints past the largest double, bools, signed zeros, subnormals,
+infinities, nan) and the others valid, as the repr of the result or
+"ErrorType: message", with warnings raised as errors.
 
 Every difference in exit code, stdout or stderr is reported per argv, and
 every kernel row whose value or error text differs is printed; rows that
@@ -125,14 +127,17 @@ def library():
     """Print the kernel lines described in the module docstring (run against one copy)."""
     import inspect
     import warnings
+    from dataclasses import replace
 
     import numpy as np
-    from qring import (MaterialSpec, PhoParams, QuantumState, SweepConfig, angular_fd_eigs,
-                       convergence_report, eval_angular, from_material, from_pho, gamma,
-                       get_material, is_tan_inkson, laguerre, mathieu, normalization_constant,
-                       psi, radial_exponent, radial_fd_eigs, radial_profile, sweep, wavefun)
+    from qring import (MaterialSpec, PhoParams, QuantumState, SweepConfig, angular_eigenvalue,
+                       angular_fd_eigs, convergence_report, correction, energy, eval_angular,
+                       from_material, from_pho, gamma, get_material, is_tan_inkson, laguerre,
+                       mathieu, normalization_constant, psi, radial_exponent, radial_fd_eigs,
+                       radial_profile, sweep, transition, wavefun)
     from qring.cli import _build_parser, _materials_of
     from qring.errors import QringError
+    from qring.hyper import hyp3f2_unit
     from qring.mathieu import Branch
 
     # revisions before the windows became optional always return them
@@ -216,7 +221,40 @@ def library():
         "radial_fd_eigs": lambda v: radial_fd_eigs(v, params, 3).eigenvalues.tolist(),
         "is_tan_inkson rtol": lambda v: is_tan_inkson(params, v),
         "convergence_report": lambda v: convergence_report([1.0, 1.5, v]).extrapolated,
+        "transition D": lambda v: transition(QuantumState(0, 2, Branch.CE),
+                                             QuantumState(0, 1, Branch.CE), gaas, v),
+        "correction D": lambda v: correction(QuantumState(0, 1, Branch.CE), gaas, v),
     }
+    for i, arg in enumerate(("a1", "a2", "a3", "b1", "b2")):
+        calls[f"hyp3f2_unit {arg}"] = lambda v, i=i: hyp3f2_unit(
+            *[v if j == i else x for j, x in enumerate((-3, 2.0, 1.5, 2.5, 0.5))])
+    # the fields of the value objects that public calls consume, one field at a time
+    through = {
+        "energy": lambda s, p: energy(s, p).E,
+        "angular_eigenvalue": lambda s, p: angular_eigenvalue(s, p)[:2],
+        "make_wave": lambda s, p: wavefun.make_wave(s, p).N,
+        "radial_fd_eigs": lambda s, p: radial_fd_eigs(-0.5, p, 3).eigenvalues.tolist(),
+    }
+    for field in ("A", "B", "C", "D_theta", "mu", "delta"):
+        for name, call in through.items():
+            calls[f"SystemParams {field} {name}"] = lambda v, f=field, c=call: c(
+                QuantumState(0, 1, Branch.CE, v if f == "delta" else 0.0),
+                replace(params, **{f: v}))
+    through = {
+        "psi": lambda s: psi(s, 20.0, 0.3),
+        "normalize_numeric": wavefun.normalize_numeric,
+        "radial_profile": lambda s: wavefun.radial_profile(s, [0.0, 20.0]).rows,
+        "count_radial_nodes": wavefun.count_radial_nodes,
+    }
+    for field in ("a", "alpha", "N"):
+        for name, call in through.items():
+            calls[f"WaveSpec {field} {name}"] = lambda v, f=field, c=call: c(
+                replace(spec, **{f: v}))
+    for field in ("order", "q", "coeffs", "truncation", "value"):
+        for name, call in (("eval_angular", lambda s: eval_angular(0.3, s.coeffs)),
+                           ("normalize_numeric", wavefun.normalize_numeric)):
+            calls[f"FourierCoeffs {field} {name}"] = lambda v, f=field, c=call: c(replace(
+                spec, coeffs=replace(spec.coeffs, **{f: [v, 0.5] if f == "coeffs" else v})))
     for label, call in calls.items():
         for v in SPECIAL:
             # a grid of 64 up to 2**62 points would be allocated where N is not yet bounded
